@@ -6,10 +6,10 @@ on each store.  Expectations mirror the YCSB findings: SEALDB leads the
 write-heavy load phase; the read-dominated run phase stays near parity.
 """
 
+import repro
 from repro.experiments.common import scaled_bytes
 from repro.harness.profiles import DEFAULT_PROFILE
 from repro.harness.report import normalize, render_table
-from repro.harness.runner import make_store
 from repro.workloads.linkbench import LinkBenchWorkload
 
 NUM_NODES = scaled_bytes(20_000)
@@ -19,7 +19,7 @@ RUN_OPS = 4_000
 def _run():
     rows = {}
     for kind in ("leveldb", "smrdb", "sealdb"):
-        store = make_store(kind, DEFAULT_PROFILE)
+        store = repro.open(kind, profile=DEFAULT_PROFILE)
         workload = LinkBenchWorkload(int(NUM_NODES), links_per_node=4, seed=0)
         load = workload.load(store)
         run = workload.run(store, RUN_OPS)

@@ -13,7 +13,8 @@ the script compares:
 Run:  python examples/smr_amplification_analysis.py
 """
 
-from repro import SMALL_PROFILE, make_store
+import repro
+from repro import SMALL_PROFILE
 from repro.harness.metrics import (
     compaction_span,
     contiguous_output_fraction,
@@ -27,7 +28,7 @@ DB_BYTES = 3 * MiB
 
 def analyze(kind: str):
     profile = SMALL_PROFILE
-    store = make_store(kind, profile)
+    store = repro.open(kind, profile=profile)
     kv = KeyValueGenerator(profile.key_size, profile.value_size)
     bench = MicroBenchmark(kv, profile.entries_for_bytes(DB_BYTES), seed=7)
     result = bench.fill_random(store)

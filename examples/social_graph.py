@@ -9,7 +9,8 @@ the access pattern that rewards SEALDB's sequential layouts.
 Run:  python examples/social_graph.py
 """
 
-from repro import SMALL_PROFILE, make_store
+import repro
+from repro import SMALL_PROFILE
 from repro.harness.analysis import stats_string
 from repro.workloads.linkbench import (
     LinkBenchWorkload,
@@ -25,7 +26,7 @@ def main() -> None:
     print("-" * 48)
     stores = {}
     for kind in ("leveldb", "sealdb"):
-        store = make_store(kind, SMALL_PROFILE)
+        store = repro.open(kind, profile=SMALL_PROFILE)
         load = workload.load(store)
         run = workload.run(store, 2500)
         stores[kind] = store

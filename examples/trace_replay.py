@@ -12,7 +12,8 @@ Run:  python examples/trace_replay.py
 import tempfile
 from pathlib import Path
 
-from repro import SMALL_PROFILE, make_store
+import repro
+from repro import SMALL_PROFILE
 from repro.workloads.generators import KeyValueGenerator
 from repro.workloads.trace import (
     ChurnTraceGenerator,
@@ -28,7 +29,7 @@ def main() -> None:
     kv = KeyValueGenerator(profile.key_size, profile.value_size)
 
     # --- capture a session -------------------------------------------------
-    recorder = TraceRecorder(make_store("sealdb", profile))
+    recorder = TraceRecorder(repro.open("sealdb", profile=profile))
     churn = ChurnTraceGenerator(kv, working_set=800, drift=200,
                                 ops_per_phase=1000, seed=11)
     for op in churn.generate(5000):       # writes and deletes
@@ -49,7 +50,7 @@ def main() -> None:
     print(f"{'store':>14} {'ops/s':>10} {'WA':>7} {'AWA':>6} {'MWA':>7}")
     print("-" * 50)
     for kind in ("leveldb", "smrdb", "leveldb+sets", "sealdb", "zonekv"):
-        store = make_store(kind, profile)
+        store = repro.open(kind, profile=profile)
         result = replay(store, load_trace(trace_path))
         print(f"{store.name:>14} {result.ops_per_sec:>10,.0f} "
               f"{store.wa():>6.2f}x {store.awa():>5.2f}x {store.mwa():>6.2f}x")

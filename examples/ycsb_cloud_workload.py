@@ -11,7 +11,8 @@ and replays two contrasting YCSB mixes:
 Run:  python examples/ycsb_cloud_workload.py
 """
 
-from repro import SMALL_PROFILE, make_store
+import repro
+from repro import SMALL_PROFILE
 from repro.workloads import KeyValueGenerator, YCSBRunner, YCSB_WORKLOADS
 
 MiB = 1024 * 1024
@@ -31,7 +32,7 @@ def main() -> None:
     print("-" * 60)
 
     for kind in ("leveldb", "sealdb"):
-        store = make_store(kind, profile)
+        store = repro.open(kind, profile=profile)
         runner = YCSBRunner(kv, record_count, seed=3)
         load = runner.load(store)
         print(f"{store.name:>10} {'load':>8} {load.ops_per_sec:>12,.0f}")

@@ -46,7 +46,6 @@ from repro.harness import (
     DEFAULT_PROFILE,
     SMALL_PROFILE,
     ScaleProfile,
-    make_store,
 )
 from repro.kvstore import KVStoreBase
 from repro.lsm import DB, Options
@@ -91,7 +90,6 @@ __all__ = [
     "WriteBatch",
     "__version__",
     "default_shards",
-    "make_store",
     "open",
     "open_store",
     "register_store",

@@ -18,10 +18,8 @@ from __future__ import annotations
 
 from repro.core.dynamic_band import DynamicBandManager
 from repro.core.sets import SetRegistry
-from repro.errors import FileNotFoundStorageError, StorageError
 from repro.fs.storage import Storage
 from repro.obs.events import SetFade, SetRegister
-from repro.smr.extent import Extent
 from repro.smr.raw_hmsmr import RawHMSMRDrive
 from repro.smr.stats import CATEGORY_TABLE
 
@@ -37,7 +35,6 @@ class DynamicBandStorage(Storage):
                          region_gap=region_gap)
         self.manager = DynamicBandManager(drive, self.data_start, class_unit)
         self.sets = SetRegistry()
-        self._files: dict[str, Extent] = {}
 
     # -- placement -----------------------------------------------------------
 
@@ -49,24 +46,14 @@ class DynamicBandStorage(Storage):
         if not files:
             return
         for name, _data in files:
-            if name in self._files:
-                raise StorageError(f"object {name!r} already exists")
+            self._check_new(name)
         total = sum(len(data) for _name, data in files)
         offset = self.manager.allocate(total)
-        members: list[tuple[str, Extent]] = []
-        cursor = offset
         try:
-            for name, data in files:
-                self.drive.write(cursor, data, category=category)
-                extent = Extent(cursor, cursor + len(data))
-                self._files[name] = extent
-                members.append((name, extent))
-                cursor += len(data)
+            members = self._place_group(files, offset, category)
         except BaseException:
             # A crash mid-set leaves no set: undo the allocation so the
             # free-space accounting matches the (empty) registration.
-            for name, _extent in members:
-                del self._files[name]
             self.manager.free(offset, total)
             raise
         self.sets.register(members, created_at=self.drive.now)
@@ -75,22 +62,8 @@ class DynamicBandStorage(Storage):
             obs.emit(SetRegister(ts=self.drive.now, members=len(members),
                                  nbytes=total))
 
-    def _read_file(self, name: str, offset: int, length: int,
-                  category: str = CATEGORY_TABLE) -> bytes:
-        extent = self._entry(name)
-        if offset + length > extent.length:
-            raise StorageError(
-                f"read past end of {name!r}: [{offset}, {offset + length}) "
-                f"size {extent.length}"
-            )
-        return self.drive.read(extent.start + offset, length, category=category)
-
-    def file_size(self, name: str) -> int:
-        return self._entry(name).length
-
     def delete_file(self, name: str) -> None:
-        self._entry(name)
-        del self._files[name]
+        self._pop(name)
         faded = self.sets.mark_invalid(name)
         if faded is not None:
             obs = self._obs
@@ -98,15 +71,6 @@ class DynamicBandStorage(Storage):
                 obs.emit(SetFade(ts=self.drive.now,
                                  nbytes=faded.extent.length))
             self.manager.free(faded.extent.start, faded.extent.length)
-
-    def file_extents(self, name: str) -> list[Extent]:
-        return [self._entry(name)]
-
-    def exists(self, name: str) -> bool:
-        return name in self._files
-
-    def list_files(self) -> list[str]:
-        return list(self._files)
 
     def group_invalid_count(self, name: str) -> int:
         """Invalid members in the on-disk set holding ``name``."""
@@ -141,9 +105,7 @@ class DynamicBandStorage(Storage):
             victim = self.sets.set_starting_at(fragment.end)
             if victim is None:
                 continue
-            live = [(name, self.drive.read(self._files[name].start,
-                                           self._files[name].length,
-                                           category=CATEGORY_TABLE))
+            live = [(name, self._read_file(name, 0, self.file_size(name)))
                     for name in victim.members if name not in victim.invalid]
             old_extent = victim.extent
             self.sets.evict(victim)
@@ -152,22 +114,9 @@ class DynamicBandStorage(Storage):
             if live:
                 total = sum(len(data) for _n, data in live)
                 offset = self.manager.allocate(total)
-                members = []
-                cursor = offset
-                for name, data in live:
-                    self.drive.write(cursor, data, category=CATEGORY_TABLE)
-                    extent = Extent(cursor, cursor + len(data))
-                    self._files[name] = extent
-                    members.append((name, extent))
-                    cursor += len(data)
+                members = self._place_group(live, offset, CATEGORY_TABLE)
                 self.sets.register(members, created_at=self.drive.now)
                 rewritten += total
             self.manager.free(old_extent.start, old_extent.length)
             moves += 1
         return moves, rewritten
-
-    def _entry(self, name: str) -> Extent:
-        try:
-            return self._files[name]
-        except KeyError:
-            raise FileNotFoundStorageError(name) from None

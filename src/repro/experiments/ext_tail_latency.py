@@ -20,7 +20,7 @@ import numpy as np
 from repro.experiments.common import MiB, kv_for, scaled_bytes
 from repro.harness.profiles import DEFAULT_PROFILE, ScaleProfile
 from repro.harness.report import render_table
-from repro.harness.runner import make_store
+from repro.registry import open_store
 from repro.util.rng import make_rng
 
 DEFAULT_DB_BYTES = 8 * MiB
@@ -53,7 +53,7 @@ def run(db_bytes: int | None = None,
     entries = profile.entries_for_bytes(db_bytes)
     profiles: dict[str, LatencyProfile] = {}
     for kind in store_kinds:
-        store = make_store(kind, profile)
+        store = open_store(kind, profile=profile)
         rng = make_rng(seed)
         indices = rng.integers(0, entries, size=entries)
         latencies = np.empty(entries)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from repro.experiments.common import MiB, scaled_bytes
 from repro.harness.profiles import DEFAULT_PROFILE, ScaleProfile
 from repro.harness.report import render_table
-from repro.harness.runner import make_store
+from repro.registry import open_store
 from repro.workloads.generators import KeyValueGenerator
 from repro.workloads.microbench import MicroBenchmark
 
@@ -53,7 +53,7 @@ def run(db_bytes: int | None = None,
         entries = sized.entries_for_bytes(db_bytes)
         ops = {}
         for kind in ("leveldb", "sealdb"):
-            store = make_store(kind, sized)
+            store = open_store(kind, profile=sized)
             bench = MicroBenchmark(kv, entries, seed=seed)
             ops[kind] = bench.fill_random(store).ops_per_sec
         points.append(ValueSizePoint(value_size, ops["leveldb"],

@@ -45,14 +45,14 @@ class ScatterResult:
 def run(db_bytes: int | None = None,
         profile: ScaleProfile = DEFAULT_PROFILE, seed: int = 0,
         kind: str = "leveldb", drive_kind: str = "hdd") -> ScatterResult:
-    from repro.harness.runner import make_store
+    from repro.registry import open_store
     from repro.workloads.microbench import MicroBenchmark
     from repro.experiments.common import kv_for
 
     if db_bytes is None:
         db_bytes = scaled_bytes(DEFAULT_DB_BYTES)
-    store = make_store(kind, profile, drive_kind=drive_kind) \
-        if kind == "leveldb" else make_store(kind, profile)
+    store = open_store(kind, profile=profile, drive_kind=drive_kind) \
+        if kind == "leveldb" else open_store(kind, profile=profile)
     bench = MicroBenchmark(kv_for(profile),
                            profile.entries_for_bytes(db_bytes), seed=seed)
     fill = bench.fill_random(store)

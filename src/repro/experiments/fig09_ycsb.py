@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from repro.experiments.common import MiB, kv_for, scaled_bytes
 from repro.harness.profiles import DEFAULT_PROFILE, ScaleProfile
 from repro.harness.report import normalize, render_table
-from repro.harness.runner import make_store
+from repro.registry import open_store
 from repro.workloads.ycsb import YCSB_WORKLOADS, YCSBResult, YCSBRunner
 
 DEFAULT_DB_BYTES = 8 * MiB
@@ -56,7 +56,7 @@ def run(db_bytes: int | None = None, operation_count: int | None = None,
     results: dict[str, dict[str, YCSBResult]] = {"load": {}}
     results.update({w: {} for w in workloads})
     for kind in store_kinds:
-        store = make_store(kind, profile)
+        store = open_store(kind, profile=profile)
         runner = YCSBRunner(kv_for(profile), record_count, seed=seed)
         results["load"][store.name] = runner.load(store)
         for name in workloads:

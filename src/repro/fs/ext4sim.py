@@ -20,7 +20,7 @@ multiple extents, like ext4 extent trees.
 from __future__ import annotations
 
 from repro import faults
-from repro.errors import AllocationError, FileNotFoundStorageError, StorageError
+from repro.errors import AllocationError, StorageError
 from repro.smr.drive import Drive
 from repro.smr.extent import Extent, ExtentMap
 from repro.smr.stats import CATEGORY_TABLE
@@ -150,12 +150,10 @@ class Ext4Storage(Storage):
                                        group_blocks=group_blocks,
                                        clock=drive.clock)
         self.contiguous_groups = contiguous_groups
-        self._files: dict[str, tuple[list[Extent], int]] = {}
 
     def write_file(self, name: str, data: bytes,
                    category: str = CATEGORY_TABLE) -> None:
-        if name in self._files:
-            raise StorageError(f"object {name!r} already exists")
+        self._check_new(name)
         extents = self.allocator.allocate(len(data))
         self.drive.charge_metadata_op()  # inode + bitmap + journal
         try:
@@ -165,7 +163,7 @@ class Ext4Storage(Storage):
             # to the bitmap, as ext4 replay would leave them.
             self.allocator.release(extents)
             raise
-        self._files[name] = (extents, len(data))
+        self._commit(name, extents, len(data))
 
     # Streaming note: ext4 uses *delayed allocation* -- the page cache
     # buffers a file under construction and the allocator runs once at
@@ -178,36 +176,33 @@ class Ext4Storage(Storage):
         if not self.contiguous_groups or not files:
             super()._write_files(files, category)
             return
+        for name, _data in files:
+            self._check_new(name)
         total = sum(len(data) for _name, data in files)
         try:
-            run = self.allocator.allocate(total, contiguous=True)
+            run = self.allocator.allocate(total, contiguous=True)[0]
         except AllocationError:
             super()._write_files(files, category)
             return
-        cursor = run[0].start
-        written: list[str] = []
         try:
-            for name, data in files:
-                if name in self._files:
-                    raise StorageError(f"object {name!r} already exists")
-                self.drive.charge_metadata_op()
-                self.drive.write(cursor, data, category=category)
-                self._files[name] = ([Extent(cursor, cursor + len(data))],
-                                     len(data))
-                written.append(name)
-                cursor += len(data)
+            members = self._place_group(self._journaled(files), run.start,
+                                        category)
         except BaseException:
             # Uncommitted journal transaction: the whole run returns to
             # the bitmap, including files already placed in it.
-            for name in written:
-                extents, _size = self._files.pop(name)
-                self.allocator.release(extents)
-            if cursor < run[0].end:
-                self.allocator.release([Extent(cursor, run[0].end)])
+            self.allocator.release([run])
             raise
         # Any rounding slack at the tail of the run goes back to the pool.
-        if cursor < run[0].end:
-            self.allocator.release([Extent(cursor, run[0].end)])
+        end = members[-1][1].end
+        if end < run.end:
+            self.allocator.release([Extent(end, run.end)])
+
+    def _journaled(self, files):
+        """``files``, charging each member's metadata update just before
+        it is written."""
+        for item in files:
+            self.drive.charge_metadata_op()
+            yield item
 
     def _write_extents(self, extents: list[Extent], data: bytes,
                        category: str) -> None:
@@ -219,49 +214,9 @@ class Ext4Storage(Storage):
             if cursor >= len(data):
                 break
 
-    def _read_file(self, name: str, offset: int, length: int,
-                  category: str = CATEGORY_TABLE) -> bytes:
-        extents, size = self._entry(name)
-        if offset + length > size:
-            raise StorageError(
-                f"read past end of {name!r}: [{offset}, {offset + length}) size {size}"
-            )
-        out = bytearray()
-        pos = 0
-        for ext in extents:
-            ext_end = pos + ext.length
-            if ext_end > offset and pos < offset + length:
-                lo = max(offset, pos)
-                hi = min(offset + length, ext_end)
-                out += self.drive.read(ext.start + (lo - pos), hi - lo,
-                                       category=category)
-            pos = ext_end
-            if pos >= offset + length:
-                break
-        return bytes(out)
-
-    def file_size(self, name: str) -> int:
-        return self._entry(name)[1]
-
     def delete_file(self, name: str) -> None:
-        extents, _size = self._entry(name)
-        del self._files[name]
+        extents = self._pop(name)
         self.drive.charge_metadata_op()
         for ext in extents:
             self.drive.trim(ext.start, ext.length)
         self.allocator.release(extents)
-
-    def file_extents(self, name: str) -> list[Extent]:
-        return list(self._entry(name)[0])
-
-    def exists(self, name: str) -> bool:
-        return name in self._files
-
-    def list_files(self) -> list[str]:
-        return list(self._files)
-
-    def _entry(self, name: str) -> tuple[list[Extent], int]:
-        try:
-            return self._files[name]
-        except KeyError:
-            raise FileNotFoundStorageError(name) from None

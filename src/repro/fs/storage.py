@@ -102,6 +102,8 @@ class Storage(ABC):
         self._meta_damaged = False
         #: first byte available for table data
         self.data_start = meta_start + meta_size + region_gap
+        #: the name -> location indirection shared by every policy
+        self._files: dict[str, tuple[list[Extent], int]] = {}
 
     # -- write-ahead log -------------------------------------------------
 
@@ -273,6 +275,15 @@ class Storage(ABC):
         self._meta_damaged = False
 
     # -- table files -------------------------------------------------------
+    #
+    # Policy contract.  This class owns the file table -- a file is
+    # ``(list[Extent], size)`` and a read walks its extents -- together
+    # with the name checks, the two failpoints and the chunking stream.
+    # A policy implements ``write_file`` / ``delete_file`` (allocate the
+    # extents of one file, release them), optionally ``_write_files``
+    # (allocate one run for a group) and, if it streams, ``_extend`` /
+    # ``_abandon``; it enters files through ``_commit`` or
+    # ``_place_group`` and removes them through ``_pop``.
 
     def create_stream(self, name: str, chunk_size: int,
                       category: str = CATEGORY_TABLE) -> "FileStream":
@@ -282,9 +293,9 @@ class Storage(ABC):
         its output as the merge proceeds makes the disk head ping-pong
         between input reads and output writes.  The base implementation
         falls back to buffering (one ``write_file`` at close); policies
-        with real incremental placement override it.
+        with real incremental placement return a :class:`FileStream`.
         """
-        return BufferedStream(self, name, category)
+        return BufferedStream(self, name, chunk_size, category)
 
     @abstractmethod
     def write_file(self, name: str, data: bytes,
@@ -315,12 +326,28 @@ class Storage(ABC):
         for name, data in files:
             self.write_file(name, data, category)
 
+    def _place_group(self, files, offset: int,
+                     category: str) -> list[tuple[str, Extent]]:
+        """Write ``files`` back to back from ``offset`` and enter them.
+
+        Nothing is entered unless every write succeeds, so on failure
+        the caller only has to release the run it allocated.
+        """
+        members: list[tuple[str, Extent]] = []
+        for name, data in files:
+            self.drive.write(offset, data, category=category)
+            members.append((name, Extent(offset, offset + len(data))))
+            offset += len(data)
+        for name, extent in members:
+            self._files[name] = ([extent], extent.length)
+        return members
+
     def read_file(self, name: str, offset: int, length: int,
                   category: str = CATEGORY_TABLE) -> bytes:
         """Read ``length`` bytes of object ``name`` starting at ``offset``.
 
         Carries the ``storage.read`` failpoint, fired *after* the
-        backend fetched the bytes so a ``corrupt`` action can flip the
+        bytes were fetched so a ``corrupt`` action can flip the
         returned payload (a transient read glitch, distinct from the
         drive's persistent media-error map).
         """
@@ -331,14 +358,29 @@ class Storage(ABC):
             inj.finish()
         return data
 
-    @abstractmethod
     def _read_file(self, name: str, offset: int, length: int,
                    category: str = CATEGORY_TABLE) -> bytes:
-        """Backend-specific read semantics (no failpoint handling)."""
-
-    @abstractmethod
-    def file_size(self, name: str) -> int:
-        """Size in bytes of object ``name``."""
+        """Walk the file's extents (no failpoint handling)."""
+        extents, size = self._entry(name)
+        end = offset + length
+        if offset < 0 or length < 0 or end > size:
+            raise StorageError(
+                f"read outside {name!r}: [{offset}, {end}) size {size}")
+        if len(extents) == 1:  # nearly every file: skip the walk's host cost
+            return self.drive.read(extents[0].start + offset, length,
+                                   category=category)
+        pieces = []
+        pos = 0
+        for ext in extents:
+            ext_end = pos + ext.length
+            if ext_end > offset and pos < end:
+                lo, hi = max(offset, pos), min(end, ext_end)
+                pieces.append(self.drive.read(ext.start + (lo - pos), hi - lo,
+                                              category=category))
+            pos = ext_end
+            if pos >= end:
+                break
+        return b"".join(pieces)
 
     @abstractmethod
     def delete_file(self, name: str) -> None:
@@ -349,46 +391,111 @@ class Storage(ABC):
         for name in names:
             self.delete_file(name)
 
-    @abstractmethod
+    def file_size(self, name: str) -> int:
+        """Size in bytes of object ``name``."""
+        return self._entry(name)[1]
+
     def file_extents(self, name: str) -> list[Extent]:
         """Physical extents of object ``name`` (for layout tracing)."""
+        return list(self._entry(name)[0])
 
-    @abstractmethod
     def exists(self, name: str) -> bool:
         """Whether object ``name`` exists."""
+        return name in self._files
 
-    @abstractmethod
     def list_files(self) -> list[str]:
         """All object names, unordered."""
+        return list(self._files)
+
+    def _entry(self, name: str) -> tuple[list[Extent], int]:
+        try:
+            return self._files[name]
+        except KeyError:
+            raise FileNotFoundStorageError(name) from None
+
+    def _check_new(self, name: str) -> None:
+        if name in self._files:
+            raise StorageError(f"object {name!r} already exists")
+
+    def _commit(self, name: str, extents: list[Extent], size: int) -> None:
+        """Enter a fully placed file in the table."""
+        self._files[name] = (extents, size)
+
+    def _pop(self, name: str) -> list[Extent]:
+        """Remove ``name`` from the table; returns the extents to release."""
+        extents, _size = self._entry(name)
+        del self._files[name]
+        return extents
 
 
-class FileStream(ABC):
-    """Incremental writer for one named object."""
+class FileStream:
+    """Incremental writer for one named object.
 
-    @abstractmethod
+    Buffers appends and hands the policy one ``chunk_size`` piece at a
+    time through ``storage._extend(extents, chunk, category)``, which
+    places the chunk after the file's earlier ``extents`` and returns
+    the new pieces (undoing its own partial work if it fails).
+    """
+
+    def __init__(self, storage: Storage, name: str, chunk_size: int,
+                 category: str) -> None:
+        storage._check_new(name)
+        self._storage = storage
+        self._name = name
+        self._chunk = max(1, chunk_size)
+        self._category = category
+        self._extents: list[Extent] = []
+        self._size = 0
+        self._pending = bytearray()
+
     def append(self, data: bytes) -> None:
         """Add bytes to the object."""
+        self._pending += data
+        while len(self._pending) >= self._chunk:
+            self._flush(self._chunk)
 
-    @abstractmethod
+    def _flush(self, nbytes: int) -> None:
+        chunk = bytes(self._pending[:nbytes])
+        del self._pending[:nbytes]
+        try:
+            pieces = self._storage._extend(self._extents, chunk,
+                                           self._category)
+        except BaseException:
+            self.abort()
+            raise
+        for piece in pieces:
+            # merge physically consecutive pieces
+            if self._extents and self._extents[-1].end == piece.start:
+                self._extents[-1] = Extent(self._extents[-1].start, piece.end)
+            else:
+                self._extents.append(piece)
+        self._size += len(chunk)
+
     def close(self) -> int:
         """Finish the object; returns its total size."""
+        if self._pending:
+            self._flush(len(self._pending))
+        self._storage._commit(self._name, self._extents, self._size)
+        return self._size
+
+    def abort(self) -> None:
+        """Abandon the object, returning whatever space it already took."""
+        self._pending.clear()
+        extents, self._extents = self._extents, []
+        if extents:
+            self._storage._abandon(extents)
 
 
 class BufferedStream(FileStream):
     """Fallback stream: buffers everything, one placement at close."""
 
-    def __init__(self, storage: Storage, name: str, category: str) -> None:
-        self._storage = storage
-        self._name = name
-        self._category = category
-        self._buf = bytearray()
-
     def append(self, data: bytes) -> None:
-        self._buf += data
+        self._pending += data
 
     def close(self) -> int:
-        self._storage.write_file(self._name, bytes(self._buf), self._category)
-        return len(self._buf)
+        self._storage.write_file(self._name, bytes(self._pending),
+                                 self._category)
+        return len(self._pending)
 
 
 class BandAlignedStorage(Storage):
@@ -408,115 +515,46 @@ class BandAlignedStorage(Storage):
         first_band = (self.data_start + band_size - 1) // band_size
         last_band = drive.capacity // band_size
         self._free_bands: list[int] = list(range(first_band, last_band))
-        self._files: dict[str, tuple[int, int]] = {}  # name -> (band, size)
 
     def write_file(self, name: str, data: bytes,
                    category: str = CATEGORY_TABLE) -> None:
-        if name in self._files:
-            raise StorageError(f"object {name!r} already exists")
-        if len(data) > self.band_size:
-            raise AllocationError(
-                f"object {name!r} ({len(data)} B) exceeds band size {self.band_size}"
-            )
-        band = self._take_band()
-        try:
-            self.drive.write(band * self.band_size, data, category=category)
-        except BaseException:
-            # A crash mid-write leaves a half-filled band: trim it and
-            # put it back so the space is not leaked.
-            self.drive.trim(band * self.band_size, self.band_size)
-            self._free_bands.insert(0, band)
-            raise
-        self._files[name] = (band, len(data))
-
-    def _take_band(self) -> int:
-        if not self._free_bands:
-            raise AllocationError("no free bands left")
-        return self._free_bands.pop(0)
+        self._check_new(name)
+        self._commit(name, self._extend([], data, category), len(data))
 
     def create_stream(self, name: str, chunk_size: int,
                       category: str = CATEGORY_TABLE) -> FileStream:
-        if name in self._files:
-            raise StorageError(f"object {name!r} already exists")
-        return _BandStream(self, name, chunk_size, category)
+        return FileStream(self, name, chunk_size, category)
 
-    def _read_file(self, name: str, offset: int, length: int,
-                  category: str = CATEGORY_TABLE) -> bytes:
-        band, size = self._entry(name)
-        if offset + length > size:
-            raise StorageError(
-                f"read past end of {name!r}: [{offset}, {offset + length}) size {size}"
-            )
-        return self.drive.read(band * self.band_size + offset, length,
-                               category=category)
+    def _extend(self, extents: list[Extent], data: bytes,
+                category: str) -> list[Extent]:
+        # a band file is one extent: the stream merges consecutive pieces
+        used = extents[0].length if extents else 0
+        if used + len(data) > self.band_size:
+            raise AllocationError(
+                f"object of {used + len(data)} B exceeds band size "
+                f"{self.band_size}")
+        if extents:
+            cursor = extents[0].end
+        else:
+            if not self._free_bands:
+                raise AllocationError("no free bands left")
+            cursor = self._free_bands.pop(0) * self.band_size
+        try:
+            self.drive.write(cursor, data, category=category)
+        except BaseException:
+            if not extents:  # later chunks: the stream abandons its extents
+                self._abandon([Extent(cursor, cursor)])
+            raise
+        return [Extent(cursor, cursor + len(data))]
 
-    def file_size(self, name: str) -> int:
-        return self._entry(name)[1]
+    def _abandon(self, extents: list[Extent]) -> None:
+        # A crash or failure mid-file leaves a half-filled band: trim
+        # it and put it back first in line so the space is not leaked.
+        start = extents[0].start
+        self.drive.trim(start, self.band_size)
+        self._free_bands.insert(0, start // self.band_size)
 
     def delete_file(self, name: str) -> None:
-        band, _size = self._entry(name)
-        del self._files[name]
-        self.drive.trim(band * self.band_size, self.band_size)
-        self._free_bands.append(band)
-
-    def file_extents(self, name: str) -> list[Extent]:
-        band, size = self._entry(name)
-        start = band * self.band_size
-        return [Extent(start, start + size)]
-
-    def exists(self, name: str) -> bool:
-        return name in self._files
-
-    def list_files(self) -> list[str]:
-        return list(self._files)
-
-    def _entry(self, name: str) -> tuple[int, int]:
-        try:
-            return self._files[name]
-        except KeyError:
-            raise FileNotFoundStorageError(name) from None
-
-
-class _BandStream(FileStream):
-    """Streams a file into its dedicated band, chunk by chunk."""
-
-    def __init__(self, storage: BandAlignedStorage, name: str,
-                 chunk_size: int, category: str) -> None:
-        self._storage = storage
-        self._name = name
-        self._chunk = max(1, chunk_size)
-        self._category = category
-        self._band = storage._take_band()
-        self._written = 0
-        self._pending = bytearray()
-
-    def append(self, data: bytes) -> None:
-        self._pending += data
-        while len(self._pending) >= self._chunk:
-            self._flush(self._chunk)
-
-    def _flush(self, nbytes: int) -> None:
-        chunk = bytes(self._pending[:nbytes])
-        del self._pending[:nbytes]
-        offset = self._band * self._storage.band_size + self._written
-        try:
-            if self._written + len(chunk) > self._storage.band_size:
-                raise AllocationError(
-                    f"stream {self._name!r} exceeds band size "
-                    f"{self._storage.band_size}"
-                )
-            self._storage.drive.write(offset, chunk, category=self._category)
-        except BaseException:
-            # Abandon the stream: reclaim the band so the partially
-            # written file does not leak it.
-            band_start = self._band * self._storage.band_size
-            self._storage.drive.trim(band_start, self._storage.band_size)
-            self._storage._free_bands.insert(0, self._band)
-            raise
-        self._written += len(chunk)
-
-    def close(self) -> int:
-        if self._pending:
-            self._flush(len(self._pending))
-        self._storage._files[self._name] = (self._band, self._written)
-        return self._written
+        for extent in self._pop(name):
+            self.drive.trim(extent.start, self.band_size)
+            self._free_bands.append(extent.start // self.band_size)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.errors import AllocationError, FileNotFoundStorageError, StorageError
+from repro.errors import AllocationError, StorageError
 from repro.fs.storage import FileStream, Storage
 from repro.smr.extent import Extent
 from repro.smr.stats import CATEGORY_TABLE
@@ -59,7 +59,6 @@ class ZoneStorage(Storage):
         self.zones = {z: ZoneState(z)
                       for z in range(self.first_data_zone, drive.num_zones)}
         self._open_zone: int | None = None
-        self._files: dict[str, tuple[list[Extent], int]] = {}
         self.gc_runs = 0
         self.gc_bytes_moved = 0
 
@@ -81,11 +80,12 @@ class ZoneStorage(Storage):
         self._open_zone = empties[0]
         return self._open_zone
 
-    def _append_bytes(self, name: str, data: bytes,
-                      category: str) -> list[Extent]:
+    def _extend(self, extents: list[Extent], data: bytes,
+                category: str) -> list[Extent]:
         """Append ``data`` starting at the open zone's write pointer,
-        spilling into further empty zones as needed."""
-        extents: list[Extent] = []
+        spilling into further empty zones as needed.  (A file's earlier
+        ``extents`` do not matter: zones only ever append.)"""
+        pieces: list[Extent] = []
         cursor = 0
         while cursor < len(data):
             zone = self._ensure_open_zone()
@@ -101,20 +101,35 @@ class ZoneStorage(Storage):
                 torn = self.drive.write_pointer(zone) - offset
                 if torn > 0:
                     self.zones[zone].garbage += torn
-                for ext in extents:
-                    state = self.zones[self.drive.zone_of(ext.start)]
-                    state.live -= ext.length
-                    state.garbage += ext.length
+                self._mark_garbage(pieces)
                 raise
-            extents.append(Extent(offset, offset + len(chunk)))
-            state = self.zones[zone]
-            state.live += len(chunk)
+            pieces.append(Extent(offset, offset + len(chunk)))
+            self.zones[zone].live += len(chunk)
             cursor += len(chunk)
-        return extents
+        return pieces
 
-    def _register(self, name: str, extents: list[Extent], size: int) -> None:
-        self._files[name] = (extents, size)
-        for position, ext in enumerate(extents):
+    def _mark_garbage(self, extents: list[Extent]) -> None:
+        for ext in extents:
+            state = self.zones[self.drive.zone_of(ext.start)]
+            state.live -= ext.length
+            state.garbage += ext.length
+
+    def _abandon(self, extents: list[Extent]) -> None:
+        """Turn ``extents`` into garbage; zones left with nothing live
+        are reset on the spot."""
+        self._mark_garbage(extents)
+        for zone, state in self.zones.items():
+            if state.live == 0 and state.garbage > 0 and zone != self._open_zone:
+                self.drive.reset_zone(zone)
+                state.garbage = 0
+                state.residents.clear()
+
+    def _commit(self, name: str, extents: list[Extent], size: int) -> None:
+        super()._commit(name, extents, size)
+        self._index_residents(name)
+
+    def _index_residents(self, name: str) -> None:
+        for position, ext in enumerate(self._files[name][0]):
             zone = self.drive.zone_of(ext.start)
             self.zones[zone].residents.setdefault(name, []).append(position)
 
@@ -142,7 +157,7 @@ class ZoneStorage(Storage):
                 old = extents[position]
                 payload = self.drive.read(old.start, old.length,
                                           category=CATEGORY_TABLE)
-                new_pieces = self._append_bytes(name, payload, CATEGORY_TABLE)
+                new_pieces = self._extend(extents, payload, CATEGORY_TABLE)
                 self.gc_bytes_moved += old.length
                 extents[position : position + 1] = new_pieces
             self._reindex_residents(name)
@@ -159,83 +174,29 @@ class ZoneStorage(Storage):
 
     def _reindex_residents(self, name: str) -> None:
         """Rebuild zone->positions for one file after a splice."""
-        extents, _size = self._files[name]
         for state in self.zones.values():
             state.residents.pop(name, None)
-        for position, ext in enumerate(extents):
-            zone = self.drive.zone_of(ext.start)
-            self.zones[zone].residents.setdefault(name, []).append(position)
+        self._index_residents(name)
 
     # -- Storage interface ---------------------------------------------------
 
     def write_file(self, name: str, data: bytes,
                    category: str = CATEGORY_TABLE) -> None:
-        if name in self._files:
-            raise StorageError(f"object {name!r} already exists")
+        self._check_new(name)
         self._maybe_collect()
-        extents = self._append_bytes(name, bytes(data), category)
-        self._register(name, extents, len(data))
+        self._commit(name, self._extend([], bytes(data), category), len(data))
 
     def create_stream(self, name: str, chunk_size: int,
                       category: str = CATEGORY_TABLE) -> FileStream:
-        if name in self._files:
-            raise StorageError(f"object {name!r} already exists")
+        stream = FileStream(self, name, chunk_size, category)
         self._maybe_collect()
-        return _ZoneStream(self, name, chunk_size, category)
-
-    def _read_file(self, name: str, offset: int, length: int,
-                  category: str = CATEGORY_TABLE) -> bytes:
-        extents, size = self._entry(name)
-        if offset + length > size:
-            raise StorageError(
-                f"read past end of {name!r}: [{offset}, {offset + length}) "
-                f"size {size}"
-            )
-        out = bytearray()
-        pos = 0
-        for ext in extents:
-            ext_end = pos + ext.length
-            if ext_end > offset and pos < offset + length:
-                lo, hi = max(offset, pos), min(offset + length, ext_end)
-                out += self.drive.read(ext.start + (lo - pos), hi - lo,
-                                       category=category)
-            pos = ext_end
-            if pos >= offset + length:
-                break
-        return bytes(out)
-
-    def file_size(self, name: str) -> int:
-        return self._entry(name)[1]
+        return stream
 
     def delete_file(self, name: str) -> None:
-        extents, _size = self._entry(name)
-        del self._files[name]
+        extents = self._pop(name)
         for ext in extents:
-            zone = self.drive.zone_of(ext.start)
-            state = self.zones[zone]
-            state.live -= ext.length
-            state.garbage += ext.length
-            state.residents.pop(name, None)
-        for zone, state in self.zones.items():
-            if state.live == 0 and state.garbage > 0 and zone != self._open_zone:
-                self.drive.reset_zone(zone)
-                state.garbage = 0
-                state.residents.clear()
-
-    def file_extents(self, name: str) -> list[Extent]:
-        return list(self._entry(name)[0])
-
-    def exists(self, name: str) -> bool:
-        return name in self._files
-
-    def list_files(self) -> list[str]:
-        return list(self._files)
-
-    def _entry(self, name: str) -> tuple[list[Extent], int]:
-        try:
-            return self._files[name]
-        except KeyError:
-            raise FileNotFoundStorageError(name) from None
+            self.zones[self.drive.zone_of(ext.start)].residents.pop(name, None)
+        self._abandon(extents)
 
     # -- introspection ----------------------------------------------------
 
@@ -244,44 +205,3 @@ class ZoneStorage(Storage):
 
     def live_bytes(self) -> int:
         return sum(s.live for s in self.zones.values())
-
-
-class _ZoneStream(FileStream):
-    """Streams a file into zones chunk by chunk."""
-
-    def __init__(self, storage: ZoneStorage, name: str, chunk_size: int,
-                 category: str) -> None:
-        self._storage = storage
-        self._name = name
-        self._chunk = max(1, chunk_size)
-        self._category = category
-        self._extents: list[Extent] = []
-        self._size = 0
-        self._pending = bytearray()
-
-    def append(self, data: bytes) -> None:
-        self._pending += data
-        while len(self._pending) >= self._chunk:
-            self._flush(self._chunk)
-
-    def _flush(self, nbytes: int) -> None:
-        chunk = bytes(self._pending[:nbytes])
-        del self._pending[:nbytes]
-        pieces = self._storage._append_bytes(self._name, chunk, self._category)
-        # merge physically consecutive pieces
-        for piece in pieces:
-            if self._extents and self._extents[-1].end == piece.start:
-                self._extents[-1] = Extent(self._extents[-1].start, piece.end)
-            else:
-                self._extents.append(piece)
-        self._size += len(chunk)
-
-    def close(self) -> int:
-        if self._pending:
-            self._flush(len(self._pending))
-        if not self._extents:
-            # zero-length objects still need an identity
-            self._storage._files[self._name] = ([], 0)
-            return 0
-        self._storage._register(self._name, self._extents, self._size)
-        return self._size

@@ -10,7 +10,7 @@ from repro.harness.metrics import (
     output_offsets_per_compaction,
     summarize_compactions,
 )
-from repro.harness.runner import ExperimentRunner, STORE_KINDS, make_store
+from repro.harness.runner import ExperimentRunner, STORE_KINDS
 from repro.harness.report import render_table, normalize
 from repro.harness.compare import ComparisonResult, SampleStats, compare
 from repro.harness.analysis import analyze, stats_string
@@ -31,7 +31,6 @@ __all__ = [
     "bands_written_per_compaction",
     "compaction_span",
     "contiguous_output_fraction",
-    "make_store",
     "normalize",
     "output_offsets_per_compaction",
     "render_table",

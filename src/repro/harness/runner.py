@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
 from typing import Callable
 
 from repro.harness.metrics import WorkloadResult
@@ -14,19 +13,6 @@ from repro.workloads.microbench import MicroBenchmark
 
 #: the paper's four configurations plus the ZoneKV (ZBC/ZNS) extension
 STORE_KINDS = ("leveldb", "smrdb", "leveldb+sets", "sealdb", "zonekv")
-
-
-def make_store(kind: str, profile: ScaleProfile = DEFAULT_PROFILE,
-               **kwargs) -> KVStoreBase:
-    """Deprecated alias for :func:`repro.open` (the store registry).
-
-    Kept for backward compatibility; new code should call
-    ``repro.open(kind, profile=..., **overrides)``.
-    """
-    warnings.warn("make_store() is deprecated; use repro.open()",
-                  DeprecationWarning, stacklevel=2)
-    from repro.registry import open_store
-    return open_store(kind, profile=profile, **kwargs)
 
 
 class ExperimentRunner:

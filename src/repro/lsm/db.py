@@ -558,16 +558,24 @@ class DB:
             stream = None
             current_number = None
 
-        for ikey, value in entries:
-            if builder is None:
-                start_builder()
-            builder.add(ikey, value)
-            if stream is not None and builder.pending_bytes >= chunk:
-                stream.append(builder.drain())
-            if builder.estimated_size() >= self.options.sstable_size:
+        try:
+            for ikey, value in entries:
+                if builder is None:
+                    start_builder()
+                builder.add(ikey, value)
+                if stream is not None and builder.pending_bytes >= chunk:
+                    stream.append(builder.drain())
+                if builder.estimated_size() >= self.options.sstable_size:
+                    finish_builder()
+            if builder is not None and builder.num_entries > 0:
                 finish_builder()
-        if builder is not None and builder.num_entries > 0:
-            finish_builder()
+        except BaseException:
+            # The merge died (bad input block, crash) with an output
+            # half written: hand its space back; finished outputs are
+            # swept as orphans by the caller or by recovery.
+            if stream is not None:
+                stream.abort()
+            raise
 
         if self.options.use_sets and outputs:
             self.storage.write_files(outputs)

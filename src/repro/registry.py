@@ -14,11 +14,10 @@ and callers construct stores uniformly::
         ...
     db = repro.open("leveldb", profile=SMALL_PROFILE, drive_kind="hdd")
 
-``repro.open`` replaces the per-module wiring that used to live in
-``harness.runner.make_store`` (now a thin deprecated alias) and applies
-any installed observability taps (:func:`repro.obs.tapping`), which is
-how ``repro trace`` / ``repro metrics`` instrument stores that
-experiments construct internally.
+``repro.open`` also applies any installed observability taps
+(:func:`repro.obs.tapping`), which is how ``repro trace`` /
+``repro metrics`` instrument stores that experiments construct
+internally.
 """
 
 from __future__ import annotations

@@ -105,6 +105,27 @@ class Drive(ABC):
     def _write_impl(self, offset: int, data: bytes, category: str = "data") -> None:
         """The drive-specific write semantics (no failpoint handling)."""
 
+    def _timed_write(self, offset: int, data: bytes, category: str) -> None:
+        """One positioned media write: timing, stats, then the bytes."""
+        length = len(data)
+        seeked = offset != self.model.head
+        elapsed = self.model.access(offset, length, is_write=True)
+        self.stats.record_write(offset, length, elapsed, category,
+                                seeked=seeked, now=self.clock.now)
+        self._data[offset : offset + length] = data
+
+    def _band_rmw(self, band_start: int, prefix_len: int, category: str, *,
+                  seeked: bool) -> None:
+        """Band read-modify-write: stream the written prefix into the
+        drive buffer, then rewrite it from the band start."""
+        read_elapsed = self.model.access(band_start, prefix_len, is_write=False)
+        self.stats.record_read(band_start, prefix_len, read_elapsed, category,
+                               seeked=seeked, now=self.clock.now, rmw=True)
+        write_elapsed = self.model.access(band_start, prefix_len, is_write=True,
+                                          sequential_hint=True)
+        self.stats.record_write(band_start, prefix_len, write_elapsed, category,
+                                seeked=True, now=self.clock.now, rmw=True)
+
     def write_buffered(self, offset: int, data: bytes, category: str = "data") -> None:
         """Write absorbed by the page cache / journal (WAL and manifests).
 
@@ -173,10 +194,5 @@ class ConventionalDrive(Drive):
         super().__init__(capacity, profile, clock)
 
     def _write_impl(self, offset: int, data: bytes, category: str = "data") -> None:
-        length = len(data)
-        self._check_range(offset, length)
-        seeked = offset != self.model.head
-        elapsed = self.model.access(offset, length, is_write=True)
-        self.stats.record_write(offset, length, elapsed, category,
-                                seeked=seeked, now=self.clock.now)
-        self._data[offset : offset + length] = data
+        self._check_range(offset, len(data))
+        self._timed_write(offset, data, category)

@@ -74,11 +74,7 @@ class DriveManagedSMRDrive(Drive):
         frontier = self._frontier[band]
         if offset == frontier:
             # sequential fast path: streamed straight to the band
-            seeked = offset != self.model.head
-            elapsed = self.model.access(offset, length, is_write=True)
-            self.stats.record_write(offset, length, elapsed, category,
-                                    seeked=seeked, now=self.clock.now)
-            self._data[offset : offset + length] = data
+            self._timed_write(offset, data, category)
             self._frontier[band] = offset + length
             return
 
@@ -86,16 +82,8 @@ class DriveManagedSMRDrive(Drive):
             # too large for the cache: fold into the band directly
             band_start = self.native_start + band * self.band_size
             prefix = max(self._frontier[band], offset + length) - band_start
-            read_elapsed = self.model.access(band_start, prefix, is_write=False)
-            self.stats.record_read(band_start, prefix, read_elapsed, category,
-                                   seeked=True, now=self.clock.now, rmw=True)
             self._data[offset : offset + length] = data
-            write_elapsed = self.model.access(band_start, prefix,
-                                              is_write=True,
-                                              sequential_hint=True)
-            self.stats.record_write(band_start, prefix, write_elapsed,
-                                    category, seeked=True, now=self.clock.now,
-                                    rmw=True)
+            self._band_rmw(band_start, prefix, category, seeked=True)
             self._frontier[band] = band_start + prefix
             obs = self._obs
             if obs is not None:
@@ -132,15 +120,7 @@ class DriveManagedSMRDrive(Drive):
             prefix = self._frontier[band] - band_start
             if prefix <= 0:
                 continue
-            read_elapsed = self.model.access(band_start, prefix, is_write=False)
-            self.stats.record_read(band_start, prefix, read_elapsed, category,
-                                   seeked=True, now=self.clock.now, rmw=True)
-            write_elapsed = self.model.access(band_start, prefix,
-                                              is_write=True,
-                                              sequential_hint=True)
-            self.stats.record_write(band_start, prefix, write_elapsed,
-                                    category, seeked=True, now=self.clock.now,
-                                    rmw=True)
+            self._band_rmw(band_start, prefix, category, seeked=True)
             folded += prefix
         obs = self._obs
         if obs is not None:

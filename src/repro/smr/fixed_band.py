@@ -78,11 +78,7 @@ class FixedBandSMRDrive(Drive):
 
         if offset >= frontier:
             # Sequential append (possibly leaving a harmless gap).
-            seeked = offset != self.model.head
-            elapsed = self.model.access(offset, len(data), is_write=True)
-            self.stats.record_write(offset, len(data), elapsed, category,
-                                    seeked=seeked, now=self.clock.now)
-            self._data[offset:end] = data
+            self._timed_write(offset, data, category)
             self._frontier[band] = end
             return
 
@@ -109,11 +105,7 @@ class FixedBandSMRDrive(Drive):
         if offset == band_start and end >= frontier:
             # The write replaces the whole valid prefix: a straight
             # sequential rewrite from the band start needs no read phase.
-            seeked = band_start != self.model.head
-            elapsed = self.model.access(band_start, len(data), is_write=True)
-            self.stats.record_write(band_start, len(data), elapsed, category,
-                                    seeked=seeked, now=self.clock.now)
-            self._data[offset:end] = data
+            self._timed_write(offset, data, category)
             self._frontier[band] = end
             self._open_band = band
             return
@@ -121,17 +113,9 @@ class FixedBandSMRDrive(Drive):
         # Update below the frontier: read-modify-write the written prefix
         # of the band.  The drive streams the prefix into its buffer,
         # patches it, and rewrites from the band start.
-        seeked = band_start != self.model.head
-        read_elapsed = self.model.access(band_start, prefix_len, is_write=False)
-        self.stats.record_read(band_start, prefix_len, read_elapsed, category,
-                               seeked=seeked, now=self.clock.now, rmw=True)
-
         self._data[offset:end] = data
-
-        write_elapsed = self.model.access(band_start, prefix_len, is_write=True,
-                                          sequential_hint=True)
-        self.stats.record_write(band_start, prefix_len, write_elapsed, category,
-                                seeked=True, now=self.clock.now, rmw=True)
+        self._band_rmw(band_start, prefix_len, category,
+                       seeked=band_start != self.model.head)
         self._frontier[band] = new_frontier
         self._open_band = band
         obs = self._obs

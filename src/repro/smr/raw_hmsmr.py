@@ -62,11 +62,7 @@ class RawHMSMRDrive(Drive):
             if hit is not None:
                 raise ShingleOverwriteError(offset, length, (hit.start, hit.end))
 
-        seeked = offset != self.model.head
-        elapsed = self.model.access(offset, length, is_write=True)
-        self.stats.record_write(offset, length, elapsed, category,
-                                seeked=seeked, now=self.clock.now)
-        self._data[offset:end] = data
+        self._timed_write(offset, data, category)
         self.valid.add(offset, end)
 
     def trim(self, offset: int, length: int) -> None:

@@ -74,11 +74,7 @@ class ZonedDrive(Drive):
                 f"write [{offset}, {offset + length}) crosses the boundary "
                 f"of zone {zone}"
             )
-        seeked = offset != self.model.head
-        elapsed = self.model.access(offset, length, is_write=True)
-        self.stats.record_write(offset, length, elapsed, category,
-                                seeked=seeked, now=self.clock.now)
-        self._data[offset : offset + length] = data
+        self._timed_write(offset, data, category)
         self._wp[zone] = offset + length
 
     def reset_zone(self, zone: int) -> None:

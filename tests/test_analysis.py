@@ -2,20 +2,20 @@
 
 import numpy as np
 
+import repro
 from repro.harness.analysis import (
     analyze,
     bytes_by_level_flow,
     compaction_histogram,
     stats_string,
 )
-from repro.harness.runner import make_store
 from repro.workloads.generators import KeyValueGenerator
 
 from tests.conftest import TEST_PROFILE
 
 
 def _loaded(kind="sealdb", n=8000):
-    store = make_store(kind, TEST_PROFILE)
+    store = repro.open(kind, profile=TEST_PROFILE)
     kv = KeyValueGenerator(TEST_PROFILE.key_size, TEST_PROFILE.value_size)
     rng = np.random.default_rng(9)
     for i in rng.integers(0, n, size=n):

@@ -1,6 +1,6 @@
 """Tests for DB.approximate_size (GetApproximateSizes parity)."""
 
-from repro.harness.runner import make_store
+import repro
 from repro.workloads.generators import KeyValueGenerator
 
 from tests.conftest import TEST_PROFILE
@@ -9,7 +9,7 @@ N = 6000
 
 
 def _loaded():
-    store = make_store("sealdb", TEST_PROFILE)
+    store = repro.open("sealdb", profile=TEST_PROFILE)
     kv = KeyValueGenerator(TEST_PROFILE.key_size, TEST_PROFILE.value_size)
     for i in range(N):
         store.put(kv.key(i), kv.value(i))

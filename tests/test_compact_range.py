@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.harness.runner import make_store
+import repro
 from repro.workloads.generators import KeyValueGenerator
 
 from tests.conftest import TEST_PROFILE
 
 
 def _loaded(kind="sealdb", n=8000, seed=1):
-    store = make_store(kind, TEST_PROFILE)
+    store = repro.open(kind, profile=TEST_PROFILE)
     kv = KeyValueGenerator(TEST_PROFILE.key_size, TEST_PROFILE.value_size)
     rng = np.random.default_rng(seed)
     for i in rng.permutation(n):

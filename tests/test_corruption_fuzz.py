@@ -103,12 +103,12 @@ class TestDBSingleBitFlip:
     TRIALS = 8
 
     def _build(self):
-        from repro.harness.runner import make_store
+        import repro
         from repro.workloads.generators import KeyValueGenerator
 
         from tests.conftest import TEST_PROFILE
 
-        store = make_store("sealdb", TEST_PROFILE)
+        store = repro.open("sealdb", profile=TEST_PROFILE)
         kv = KeyValueGenerator(TEST_PROFILE.key_size,
                                TEST_PROFILE.value_size)
         for i in range(self.N):

@@ -2,8 +2,8 @@
 
 import pytest
 
+import repro
 from repro.errors import ReproError
-from repro.harness.runner import make_store
 from repro.lsm.dump import dump_levels, dump_manifest, dump_table, dump_wal
 from repro.workloads.generators import KeyValueGenerator
 
@@ -11,7 +11,7 @@ from tests.conftest import TEST_PROFILE
 
 
 def _loaded(n=4000):
-    store = make_store("sealdb", TEST_PROFILE)
+    store = repro.open("sealdb", profile=TEST_PROFILE)
     kv = KeyValueGenerator(TEST_PROFILE.key_size, TEST_PROFILE.value_size)
     for i in range(n):
         store.put(kv.key(i), kv.value(i))

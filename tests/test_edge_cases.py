@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.harness.runner import make_store
+import repro
 from repro.lsm.wal import WriteBatch
 
 from tests.conftest import TEST_PROFILE
@@ -11,7 +11,7 @@ KiB = 1024
 
 
 def _store(kind="sealdb"):
-    return make_store(kind, TEST_PROFILE)
+    return repro.open(kind, profile=TEST_PROFILE)
 
 
 class TestExtremeValues:

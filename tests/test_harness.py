@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro
 from repro.errors import ReproError
 from repro.harness.metrics import (
     WorkloadResult,
@@ -12,7 +13,7 @@ from repro.harness.metrics import (
 )
 from repro.harness.profiles import DEFAULT_PROFILE, SMALL_PROFILE, ScaleProfile
 from repro.harness.report import normalize, render_table
-from repro.harness.runner import STORE_KINDS, make_store
+from repro.harness.runner import STORE_KINDS
 from repro.lsm.db import CompactionRecord
 from repro.smr.extent import Extent
 
@@ -48,16 +49,16 @@ class TestScaleProfile:
 class TestMakeStore:
     @pytest.mark.parametrize("kind", STORE_KINDS)
     def test_all_kinds_construct_and_work(self, kind):
-        store = make_store(kind, TEST_PROFILE)
+        store = repro.open(kind, profile=TEST_PROFILE)
         store.put(b"0000000000000key", b"v")
         assert store.get(b"0000000000000key") == b"v"
 
     def test_unknown_kind(self):
         with pytest.raises(ReproError):
-            make_store("rocksdb", TEST_PROFILE)
+            repro.open("rocksdb", profile=TEST_PROFILE)
 
     def test_store_names(self):
-        names = {make_store(k, TEST_PROFILE).name for k in STORE_KINDS}
+        names = {repro.open(k, profile=TEST_PROFILE).name for k in STORE_KINDS}
         assert names == {"LevelDB", "SMRDB", "LevelDB+sets", "SEALDB",
                          "ZoneKV"}
 
@@ -92,19 +93,19 @@ class TestMetrics:
         assert compaction_span(r) == 4900
 
     def test_contiguous_output_fraction(self):
-        store = make_store("sealdb", TEST_PROFILE)
+        store = repro.open("sealdb", profile=TEST_PROFILE)
         for i in range(6000):
             store.put(b"%016d" % (i * 2654435761 % 6000), b"v" * 30)
         store.flush()
         assert contiguous_output_fraction(store) == 1.0
 
     def test_bands_written_requires_banded_drive(self):
-        store = make_store("sealdb", TEST_PROFILE)
+        store = repro.open("sealdb", profile=TEST_PROFILE)
         with pytest.raises(TypeError):
             bands_written_per_compaction(store)
 
     def test_bands_written_counts(self):
-        store = make_store("leveldb", TEST_PROFILE)
+        store = repro.open("leveldb", profile=TEST_PROFILE)
         for i in range(6000):
             store.put(b"%016d" % (i * 2654435761 % 6000), b"v" * 30)
         store.flush()

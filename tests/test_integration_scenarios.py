@@ -8,7 +8,7 @@ sequences a downstream user would actually run.
 
 import numpy as np
 
-from repro.harness.runner import make_store
+import repro
 from repro.lsm.repair import repair
 from repro.lsm.verify import verify_db
 from repro.workloads.generators import KeyValueGenerator
@@ -23,7 +23,7 @@ def kv():
 
 class TestChurnGcRecoverVerify:
     def test_full_lifecycle(self):
-        store = make_store("sealdb", TEST_PROFILE)
+        store = repro.open("sealdb", profile=TEST_PROFILE)
         generator = kv()
         churn = ChurnTraceGenerator(generator, working_set=800, drift=300,
                                     ops_per_phase=2000, seed=5)
@@ -43,7 +43,7 @@ class TestChurnGcRecoverVerify:
 
 class TestDeleteRangeReclaims:
     def test_delete_range_then_compact(self):
-        store = make_store("sealdb", TEST_PROFILE)
+        store = repro.open("sealdb", profile=TEST_PROFILE)
         generator = kv()
         for i in range(4000):
             store.put(generator.key(i), generator.value(i))
@@ -64,7 +64,7 @@ class TestDeleteRangeReclaims:
         assert remaining == 2000
 
     def test_delete_range_empty_window(self):
-        store = make_store("leveldb", TEST_PROFILE)
+        store = repro.open("leveldb", profile=TEST_PROFILE)
         assert store.db.delete_range(b"a", b"b") == 0
 
 
@@ -76,11 +76,11 @@ class TestTraceAcrossReopen:
         ops = list(churn.generate(4500))
 
         # reference: replay everything on one store without crashes
-        reference = make_store("sealdb", TEST_PROFILE)
+        reference = repro.open("sealdb", profile=TEST_PROFILE)
         replay(reference, ops)
 
         # subject: same ops with a crash-reopen every 1500 ops
-        subject = make_store("sealdb", TEST_PROFILE)
+        subject = repro.open("sealdb", profile=TEST_PROFILE)
         for i in range(0, 4500, 1500):
             replay(subject, ops[i : i + 1500])
             subject.reopen()
@@ -118,7 +118,7 @@ class TestTwoTierLifecycle:
 
 class TestRepairAfterGcAndChurn:
     def test_repair_an_aged_store(self):
-        store = make_store("sealdb", TEST_PROFILE)
+        store = repro.open("sealdb", profile=TEST_PROFILE)
         generator = kv()
         churn = ChurnTraceGenerator(generator, working_set=600, drift=200,
                                     ops_per_phase=2000, seed=8)

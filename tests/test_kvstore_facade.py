@@ -1,6 +1,6 @@
 """Tests for the KVStoreBase facade surface."""
 
-from repro.harness.runner import make_store
+import repro
 from repro.lsm.wal import WriteBatch
 from repro.workloads.generators import KeyValueGenerator
 
@@ -9,7 +9,7 @@ from tests.conftest import TEST_PROFILE
 
 class TestFacade:
     def _store(self):
-        return make_store("sealdb", TEST_PROFILE)
+        return repro.open("sealdb", profile=TEST_PROFILE)
 
     def test_write_batch_atomic_view(self):
         store = self._store()

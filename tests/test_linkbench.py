@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.harness.runner import make_store
+import repro
 from repro.workloads.linkbench import (
     DEFAULT_MIX,
     LinkBenchWorkload,
@@ -39,7 +39,7 @@ class TestWorkload:
         assert set(w.mix) == set(DEFAULT_MIX)
 
     def test_load_creates_graph(self):
-        store = make_store("sealdb", TEST_PROFILE)
+        store = repro.open("sealdb", profile=TEST_PROFILE)
         w = self._bench()
         result = w.load(store)
         assert result.per_op["nodes"] == 400
@@ -48,7 +48,7 @@ class TestWorkload:
         assert store.get(node_key(399)) is not None
 
     def test_link_lists_are_contiguous_scans(self):
-        store = make_store("sealdb", TEST_PROFILE)
+        store = repro.open("sealdb", profile=TEST_PROFILE)
         w = self._bench()
         w.load(store)
         # scan a hot node's type-0 links: every returned key belongs to it
@@ -57,7 +57,7 @@ class TestWorkload:
             assert key.startswith(prefix)
 
     def test_run_executes_full_mix(self):
-        store = make_store("sealdb", TEST_PROFILE)
+        store = repro.open("sealdb", profile=TEST_PROFILE)
         w = self._bench()
         w.load(store)
         result = w.run(store, 800)
@@ -70,8 +70,8 @@ class TestWorkload:
         assert result.sim_seconds > 0
 
     def test_deterministic(self):
-        a = make_store("sealdb", TEST_PROFILE)
-        b = make_store("sealdb", TEST_PROFILE)
+        a = repro.open("sealdb", profile=TEST_PROFILE)
+        b = repro.open("sealdb", profile=TEST_PROFILE)
         w = self._bench()
         ra = (w.load(a).sim_seconds, w.run(a, 300).sim_seconds)
         w2 = self._bench()
@@ -85,7 +85,7 @@ class TestWorkload:
     def test_runs_on_every_store(self):
         w = LinkBenchWorkload(150, links_per_node=2, seed=1)
         for kind in ("leveldb", "smrdb", "sealdb"):
-            store = make_store(kind, TEST_PROFILE)
+            store = repro.open(kind, profile=TEST_PROFILE)
             w.load(store)
             result = w.run(store, 200)
             assert result.ops == 200

@@ -1,6 +1,6 @@
 """Tests for the additional db_bench workloads."""
 
-from repro.harness.runner import make_store
+import repro
 from repro.workloads.generators import KeyValueGenerator
 from repro.workloads.microbench import EXTRA_WORKLOADS, MicroBenchmark
 
@@ -10,7 +10,7 @@ N = 2500
 
 
 def _loaded(kind="sealdb", sequential=False):
-    store = make_store(kind, TEST_PROFILE)
+    store = repro.open(kind, profile=TEST_PROFILE)
     kv = KeyValueGenerator(TEST_PROFILE.key_size, TEST_PROFILE.value_size)
     bench = MicroBenchmark(kv, N, seed=6)
     if sequential:
@@ -59,7 +59,7 @@ class TestExtraWorkloads:
 
     def test_fill_batch_equals_fill_random_content(self):
         kv_store, bench = _loaded()
-        batch_store = make_store("sealdb", TEST_PROFILE)
+        batch_store = repro.open("sealdb", profile=TEST_PROFILE)
         r = bench.fill_batch(batch_store, batch_size=64)
         assert r.ops == N
         # the two loads apply the same (index, value) stream, so any key
@@ -70,9 +70,9 @@ class TestExtraWorkloads:
 
     def test_fill_batch_faster_than_singles(self):
         bench = self._batchless_bench()
-        single = make_store("sealdb", TEST_PROFILE)
+        single = repro.open("sealdb", profile=TEST_PROFILE)
         r1 = bench.fill_random(single)
-        batched = make_store("sealdb", TEST_PROFILE)
+        batched = repro.open("sealdb", profile=TEST_PROFILE)
         r2 = bench.fill_batch(batched, batch_size=100)
         assert r2.sim_seconds < r1.sim_seconds
 

@@ -1,12 +1,9 @@
 """Tests for the store registry and the ``repro.open`` entry point."""
 
-import warnings
-
 import pytest
 
 import repro
 from repro.errors import ReproError
-from repro.harness.runner import make_store
 from repro.kvstore import KVStoreBase
 from repro.registry import open_store, register_store, store_kinds
 
@@ -81,21 +78,3 @@ class TestOpen:
         finally:
             from repro import registry
             registry._REGISTRY.pop("test-custom-kind", None)
-
-
-class TestMakeStoreDeprecation:
-    def test_make_store_warns_and_delegates(self):
-        with pytest.warns(DeprecationWarning, match="repro.open"):
-            legacy = make_store("sealdb", TEST_PROFILE)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            fresh = repro.open("sealdb", profile=TEST_PROFILE)
-        assert type(legacy) is type(fresh)
-
-    @pytest.mark.parametrize("kind", ALL_KINDS)
-    def test_make_store_still_builds_every_kind(self, kind):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            store = make_store(kind, TEST_PROFILE)
-        store.put(b"k", b"v")
-        assert store.get(b"k") == b"v"

@@ -8,14 +8,14 @@ silently wrong data -- and the rest of the store keeps serving.
 
 import pytest
 
-from repro import faults
+import repro
+from repro import SMALL_PROFILE, faults
 from repro.errors import (
     KeyRangeUnavailable,
     MediaError,
     ShardUnavailable,
     StorageError,
 )
-from repro.harness.runner import make_store
 from repro.lsm.verify import verify_db
 from repro.resilience import MediaErrorMap
 from repro.workloads.generators import KeyValueGenerator
@@ -24,7 +24,7 @@ from tests.conftest import TEST_PROFILE
 
 
 def _loaded(kind="sealdb", n=3000):
-    store = make_store(kind, TEST_PROFILE)
+    store = repro.open(kind, profile=TEST_PROFILE)
     kv = KeyValueGenerator(TEST_PROFILE.key_size, TEST_PROFILE.value_size)
     for i in range(n):
         store.put(kv.key(i), kv.value(i))
@@ -192,6 +192,31 @@ class TestQuarantine:
             got = store.get(kv.key(i))
             assert got is None or got == kv.value(i)
 
+    def test_failed_compaction_returns_its_output_band(self):
+        """A merge that dies on a sick input abandons a half-written
+        output stream; SMRDB must get that stream's band back."""
+        store = repro.open("smrdb", profile=SMALL_PROFILE)
+        kv = KeyValueGenerator(SMALL_PROFILE.key_size, SMALL_PROFILE.value_size)
+        storage, db = store.storage, store.db
+        total_bands = len(storage._free_bands) + len(storage.list_files())
+        keys = iter(range(10 ** 6))
+
+        def put_until(done):
+            while not done():
+                i = next(keys)
+                store.put(kv.scrambled_key(i), kv.value(i))
+
+        # one table short of the L0 trigger, with an L1 to merge into
+        put_until(lambda: db.versions.current.files[1] and len(
+            db.versions.current.files[0]) == db.options.l0_compaction_trigger - 1)
+        sick = storage.file_extents(db.versions.current.files[1][-1].name)[0]
+        store.drive.inject_media_errors().add_latent_error(
+            sick.start + sick.length // 2, 1)
+        put_until(lambda: store.quarantined_tables)  # compaction hits it
+        assert store.quarantined_tables == 1
+        assert (len(storage._free_bands) + len(storage.list_files())
+                == total_bands)
+
 
 @pytest.mark.scrub
 @pytest.mark.single_shard
@@ -228,7 +253,7 @@ class TestScrubber:
         assert metrics.counter("resilience.quarantine_events").value >= 1
 
     def test_idle_path_scrub_interval(self):
-        store = make_store("sealdb", TEST_PROFILE)
+        store = repro.open("sealdb", profile=TEST_PROFILE)
         store.options.scrub_interval_flushes = 1
         events = []
         store.obs.subscribe(events.append, ["scrub.pass"])

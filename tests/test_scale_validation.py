@@ -10,9 +10,9 @@ import os
 
 import pytest
 
+import repro
 from repro.experiments import fig12_write_amplification
 from repro.harness.profiles import DEFAULT_PROFILE
-from repro.harness.runner import make_store
 from repro.workloads.generators import KeyValueGenerator
 from repro.workloads.microbench import MicroBenchmark
 
@@ -32,7 +32,7 @@ def test_headline_results_hold_at_double_scale():
 
     ops = {}
     for kind in ("leveldb", "sealdb"):
-        store = make_store(kind, profile)
+        store = repro.open(kind, profile=profile)
         bench = MicroBenchmark(kv, entries, seed=0)
         ops[kind] = bench.fill_random(store).ops_per_sec
     speedup = ops["sealdb"] / ops["leveldb"]

@@ -1,13 +1,13 @@
 """Tests for the snapshot handle API."""
 
-from repro.harness.runner import make_store
+import repro
 
 from tests.conftest import TEST_PROFILE
 
 
 class TestSnapshotHandle:
     def _store(self):
-        return make_store("sealdb", TEST_PROFILE)
+        return repro.open("sealdb", profile=TEST_PROFILE)
 
     def test_snapshot_pins_view(self):
         store = self._store()

@@ -152,11 +152,24 @@ class _CommonStorageTests:
             s.delete_file("ghost")
         assert not s.exists("ghost")
 
-    def test_read_past_end(self):
+    def test_read_outside_file(self):
         s = self.make()
+        s.write_file("f0", self._file_bytes(1 * KiB, b"n"))  # a neighbour
         s.write_file("f1", self._file_bytes(1 * KiB))
-        with pytest.raises(StorageError):
-            s.read_file("f1", 512, 1 * KiB)
+        for offset, length in [(512, 1 * KiB), (-40, 40), (-1, 2), (8, -4)]:
+            with pytest.raises(StorageError):
+                s.read_file("f1", offset, length)
+
+    def test_read_across_extents(self):
+        """A read that starts in one extent and ends in the next."""
+        s = self.make()
+        a, b = self._file_bytes(4 * KiB, b"a"), self._file_bytes(4 * KiB, b"b")
+        s.write_file("a", a)
+        s.write_file("b", b)
+        s._files["ab"] = (s.file_extents("a") + s.file_extents("b"), 8 * KiB)
+        assert s.read_file("ab", 4 * KiB - 100, 300) == a[-100:] + b[:200]
+        assert s.read_file("ab", 0, 8 * KiB) == a + b
+        assert s.read_file("ab", 4 * KiB, 10) == b[:10]
 
     def test_delete_frees_name(self):
         s = self.make()
@@ -197,6 +210,18 @@ class _CommonStorageTests:
         size = stream.close()
         assert size == len(data)
         assert s.read_file("st", 0, len(data)) == data
+
+    def test_aborted_stream_leaves_free_space_unchanged(self):
+        """Abandoned streams hand back everything they took: far more
+        aborted bytes than the device holds, then a normal write."""
+        s = self.make()
+        for _ in range(150):
+            stream = s.create_stream("st", chunk_size=4 * KiB)
+            stream.append(self._file_bytes(40 * KiB))
+            stream.abort()
+        assert not s.exists("st")
+        s.write_file("st", self._file_bytes(40 * KiB))
+        assert s.read_file("st", 0, 40 * KiB) == self._file_bytes(40 * KiB)
 
 
 class TestExt4Storage(_CommonStorageTests):

@@ -4,8 +4,8 @@ import pathlib
 
 import pytest
 
+import repro
 from repro.errors import ReproError
-from repro.harness.runner import make_store
 from repro.workloads.generators import KeyValueGenerator
 from repro.workloads.trace import (
     ChurnTraceGenerator,
@@ -58,7 +58,7 @@ class TestSaveLoad:
 
 class TestRecorderAndReplay:
     def test_recorded_trace_replays_identically(self):
-        recorder = TraceRecorder(make_store("sealdb", TEST_PROFILE))
+        recorder = TraceRecorder(repro.open("sealdb", profile=TEST_PROFILE))
         recorder.put(b"a", b"1")
         recorder.put(b"b", b"2")
         recorder.delete(b"a")
@@ -66,7 +66,7 @@ class TestRecorderAndReplay:
         list(recorder.scan(b"a", limit=3))
 
         # replay on a fresh store reproduces the same end state
-        fresh = make_store("sealdb", TEST_PROFILE)
+        fresh = repro.open("sealdb", profile=TEST_PROFILE)
         result = replay(fresh, recorder.trace)
         assert result.ops == 5
         assert result.puts == 2 and result.deletes == 1
@@ -75,14 +75,14 @@ class TestRecorderAndReplay:
         assert fresh.get(b"b") == b"2"
 
     def test_replay_counts_hits(self):
-        store = make_store("sealdb", TEST_PROFILE)
+        store = repro.open("sealdb", profile=TEST_PROFILE)
         ops = [TraceOp("P", b"k", b"v"), TraceOp("G", b"k"),
                TraceOp("G", b"missing")]
         result = replay(store, ops)
         assert result.get_hits == 1
 
     def test_recorder_proxies_store_attrs(self):
-        recorder = TraceRecorder(make_store("sealdb", TEST_PROFILE))
+        recorder = TraceRecorder(repro.open("sealdb", profile=TEST_PROFILE))
         assert recorder.name == "SEALDB"
         recorder.put(b"x", b"y")
         recorder.flush()           # proxied
@@ -115,7 +115,7 @@ class TestChurnGenerator:
         assert a == b
 
     def test_churn_ages_a_store(self):
-        store = make_store("sealdb", TEST_PROFILE)
+        store = repro.open("sealdb", profile=TEST_PROFILE)
         result = replay(store, self._gen().generate(6000))
         assert result.puts > 0 and result.deletes > 0
         store.flush()

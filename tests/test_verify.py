@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.harness.runner import make_store
+import repro
 from repro.lsm.verify import verify_db
 from repro.workloads.generators import KeyValueGenerator
 
@@ -10,7 +10,7 @@ from tests.conftest import TEST_PROFILE
 
 
 def _loaded(kind="sealdb", n=6000):
-    store = make_store(kind, TEST_PROFILE)
+    store = repro.open(kind, profile=TEST_PROFILE)
     kv = KeyValueGenerator(TEST_PROFILE.key_size, TEST_PROFILE.value_size)
     rng = np.random.default_rng(13)
     for i in rng.integers(0, n, size=n):

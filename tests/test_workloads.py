@@ -2,8 +2,8 @@
 
 import pytest
 
+import repro
 from repro.errors import ReproError
-from repro.harness.runner import make_store
 from repro.workloads.generators import KeyValueGenerator, scramble32
 from repro.workloads.microbench import MICRO_WORKLOADS, MicroBenchmark
 from repro.workloads.ycsb import YCSB_WORKLOADS, YCSBRunner, YCSBWorkload
@@ -54,7 +54,7 @@ class TestMicroBenchmark:
                                    "readrandom")
 
     def test_fill_seq(self):
-        store = make_store("sealdb", TEST_PROFILE)
+        store = repro.open("sealdb", profile=TEST_PROFILE)
         r = self._bench().fill_seq(store)
         assert r.ops == 2000
         assert r.sim_seconds > 0
@@ -64,7 +64,7 @@ class TestMicroBenchmark:
         assert store.get(kv.key(1999)) == kv.value(1999)
 
     def test_fill_random_then_read_random(self):
-        store = make_store("sealdb", TEST_PROFILE)
+        store = repro.open("sealdb", profile=TEST_PROFILE)
         bench = self._bench()
         bench.fill_random(store)
         r = bench.read_random(store, 200)
@@ -73,15 +73,15 @@ class TestMicroBenchmark:
         assert r.hits > 100
 
     def test_read_seq_returns_sorted(self):
-        store = make_store("leveldb", TEST_PROFILE)
+        store = repro.open("leveldb", profile=TEST_PROFILE)
         bench = self._bench()
         bench.fill_seq(store)
         r = bench.read_seq(store, 500)
         assert r.ops == 500
 
     def test_deterministic_given_seed(self):
-        a = make_store("sealdb", TEST_PROFILE)
-        b = make_store("sealdb", TEST_PROFILE)
+        a = repro.open("sealdb", profile=TEST_PROFILE)
+        b = repro.open("sealdb", profile=TEST_PROFILE)
         ra = self._bench().fill_random(a)
         rb = self._bench().fill_random(b)
         assert ra.sim_seconds == rb.sim_seconds  # fully deterministic
@@ -117,7 +117,7 @@ class TestYCSBRunner:
         return YCSBRunner(kv, n, seed=4)
 
     def test_load_phase(self):
-        store = make_store("sealdb", TEST_PROFILE)
+        store = repro.open("sealdb", profile=TEST_PROFILE)
         runner = self._runner()
         r = runner.load(store)
         assert r.ops == 1500
@@ -125,7 +125,7 @@ class TestYCSBRunner:
 
     @pytest.mark.parametrize("name", list("ABCDEF"))
     def test_each_workload_runs(self, name):
-        store = make_store("sealdb", TEST_PROFILE)
+        store = repro.open("sealdb", profile=TEST_PROFILE)
         runner = self._runner(800)
         runner.load(store)
         r = runner.run(store, YCSB_WORKLOADS[name], 150)
@@ -141,7 +141,7 @@ class TestYCSBRunner:
             assert r.read_hits / max(1, r.reads) > 0.9
 
     def test_inserts_extend_keyspace(self):
-        store = make_store("sealdb", TEST_PROFILE)
+        store = repro.open("sealdb", profile=TEST_PROFILE)
         runner = self._runner(500)
         runner.load(store)
         r = runner.run(store, YCSB_WORKLOADS["D"], 400)
