@@ -12,8 +12,10 @@ about 1 %.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.errors import CorruptionError
-from repro.util.rng import fnv1a_64
+from repro.util.rng import fnv1a_64, fnv1a_64_many
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
@@ -36,18 +38,18 @@ class BloomFilter:
     @classmethod
     def build(cls, keys: list[bytes], bits_per_key: int) -> "BloomFilter":
         num_probes = _probes_for(bits_per_key)
-        bits = max(64, len(keys) * bits_per_key)
-        nbytes = (bits + 7) // 8
-        bits = nbytes * 8
-        bitmap = bytearray(nbytes)
-        for key in keys:
-            h = fnv1a_64(key)
-            delta = ((h >> 17) | (h << 47)) & _MASK64
-            for _ in range(num_probes):
-                pos = h % bits
-                bitmap[pos >> 3] |= 1 << (pos & 7)
-                h = (h + delta) & _MASK64
-        return cls(bytes(bitmap), num_probes)
+        # whole bytes, at least 64 bits
+        bits = (max(64, len(keys) * bits_per_key) + 7) // 8 * 8
+        # one bool per bit; the scalar form of this loop is the
+        # reference in tests/test_bloom.py
+        bitmap = np.zeros(bits, dtype=bool)
+        h = fnv1a_64_many(keys)
+        delta = (h >> np.uint64(17)) | (h << np.uint64(47))
+        for _ in range(num_probes):
+            bitmap[h % np.uint64(bits)] = True
+            h += delta
+        return cls(np.packbits(bitmap, bitorder="little").tobytes(),
+                   num_probes)
 
     def may_contain(self, key: bytes) -> bool:
         """False means definitely absent; True means probably present."""

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
-from repro.lsm.ikey import InternalKey, TYPE_DELETION
+from repro.lsm.ikey import Key, TYPE_DELETION
 from repro.lsm.options import Options
 from repro.lsm.version import FileMetaData, Version, VersionSet
 
@@ -165,9 +165,9 @@ def _mutually_disjoint(files: list[FileMetaData]) -> bool:
 
 
 def compact_entries(
-    merged: Iterator[tuple[InternalKey, bytes]],
+    merged: Iterator[tuple[Key, bytes]],
     is_base_level_for: Callable[[bytes], bool],
-) -> Iterator[tuple[InternalKey, bytes]]:
+) -> Iterator[tuple[Key, bytes]]:
     """Drop shadowed versions and dead tombstones from a merged stream.
 
     Only the newest version of each user key survives.  A surviving
@@ -178,10 +178,12 @@ def compact_entries(
     simulated DB takes snapshots only between operations).
     """
     last_user_key: bytes | None = None
-    for ikey, value in merged:
-        if ikey.user_key == last_user_key:
+    for entry in merged:
+        user_key, neg_trailer = entry[0]
+        if user_key == last_user_key:
             continue  # older, shadowed version
-        last_user_key = ikey.user_key
-        if ikey.type == TYPE_DELETION and is_base_level_for(ikey.user_key):
+        last_user_key = user_key
+        if (-neg_trailer & 0xFF == TYPE_DELETION
+                and is_base_level_for(user_key)):
             continue
-        yield ikey, value
+        yield entry

@@ -33,7 +33,7 @@ from repro.errors import (
 from repro.fs.storage import Storage
 from repro.lsm.cache import LRUCache
 from repro.lsm.compaction import Compaction, CompactionPicker, compact_entries
-from repro.lsm.ikey import InternalKey, lookup_key
+from repro.lsm.ikey import Key, lookup_key
 from repro.lsm.iterator import DBIterator, merge_iterators, take_range
 from repro.lsm.memtable import Memtable
 from repro.lsm.options import Options
@@ -192,8 +192,8 @@ class DB:
             obs.emit(FlushStart(ts=start, entries=len(self.memtable),
                                 nbytes=self.memtable.approximate_size))
         builder = SSTableBuilder(self.options)
-        for ikey, value in self.memtable.entries():
-            builder.add(ikey, value)
+        for key, value in self.memtable.entries():
+            builder.add(key, value)
         data, props = builder.finish()
         number = self.versions.new_file_number()
         meta = FileMetaData(number, props.file_size, props.smallest,
@@ -281,7 +281,7 @@ class DB:
             self.drive.clock.advance(self.options.read_cpu_seconds)
         sequence = self.versions.last_sequence if snapshot is None else snapshot
         target = lookup_key(start, sequence) if start is not None else None
-        sources: list[Iterator[tuple[InternalKey, bytes]]] = []
+        sources: list[Iterator[tuple[Key, bytes]]] = []
         if target is not None:
             sources.append(self.memtable.entries_from(target))
         else:
@@ -331,9 +331,9 @@ class DB:
                 largest=meta.largest.user_key)
 
     def _table_scan_source(self, level: int, meta: FileMetaData,
-                           target: InternalKey | None,
+                           target: Key | None,
                            prefetch: bool
-                           ) -> Iterator[tuple[InternalKey, bytes]]:
+                           ) -> Iterator[tuple[Key, bytes]]:
         """One table as a scan source.
 
         With ``prefetch`` the whole table is streamed with one
@@ -365,9 +365,9 @@ class DB:
                 largest=meta.largest.user_key) from exc
 
     def _level_iterator(self, level: int, files: list[FileMetaData],
-                        target: InternalKey | None,
+                        target: Key | None,
                         prefetch: bool
-                        ) -> Iterator[tuple[InternalKey, bytes]]:
+                        ) -> Iterator[tuple[Key, bytes]]:
         for index, meta in enumerate(files):
             yield from self._table_scan_source(
                 level, meta, target if index == 0 else None, prefetch)
@@ -558,14 +558,15 @@ class DB:
             stream = None
             current_number = None
 
+        sstable_size = self.options.sstable_size
         try:
-            for ikey, value in entries:
+            for key, value in entries:
                 if builder is None:
                     start_builder()
-                builder.add(ikey, value)
+                size = builder.add(key, value)
                 if stream is not None and builder.pending_bytes >= chunk:
                     stream.append(builder.drain())
-                if builder.estimated_size() >= self.options.sstable_size:
+                if size >= sstable_size:
                     finish_builder()
             if builder is not None and builder.num_entries > 0:
                 finish_builder()

@@ -10,6 +10,7 @@ from __future__ import annotations
 from repro.errors import ReproError
 from repro.fs.storage import Storage
 from repro.lsm.db import DB
+from repro.lsm.ikey import InternalKey
 from repro.lsm.sstable import SSTableReader
 from repro.lsm.version import VersionEdit, VersionSet
 from repro.lsm.wal import WriteBatch, read_log_records
@@ -25,11 +26,12 @@ def dump_table(storage: Storage, name: str, *, limit: int | None = 20,
     lines = [f"{name}: {size} bytes"]
     previous = None
     count = 0
-    for ikey, value in reader:
-        if verify_order and previous is not None and not previous < ikey:
+    for key, value in reader:
+        if verify_order and previous is not None and not previous < key:
             lines.append(f"  !! ORDER VIOLATION at entry {count}")
-        previous = ikey
+        previous = key
         if limit is None or count < limit:
+            ikey = InternalKey.from_key(key)
             kind = "put" if ikey.type == 1 else "del"
             shown = value[:24]
             suffix = "..." if len(value) > 24 else ""

@@ -1,8 +1,8 @@
 """Merging iterators and the user-facing DB iterator.
 
 :func:`merge_iterators` performs a k-way merge of sources that each
-yield ``(InternalKey, value)`` in internal-key order -- the workhorse of
-both compactions and scans.
+yield ``(Key, value)`` in key order -- the workhorse of both
+compactions and scans.
 
 :class:`DBIterator` layers MVCC visibility on a merged stream: entries
 newer than the snapshot are skipped, only the newest visible version of
@@ -14,51 +14,59 @@ from __future__ import annotations
 import heapq
 from typing import Iterable, Iterator
 
-from repro.lsm.ikey import InternalKey, TYPE_DELETION
+from repro.lsm.ikey import Key, TYPE_DELETION, lookup_key
 
 
 def merge_iterators(
-    sources: list[Iterator[tuple[InternalKey, bytes]]],
-) -> Iterator[tuple[InternalKey, bytes]]:
-    """K-way merge by internal-key order.
+    sources: list[Iterator[tuple[Key, bytes]]],
+) -> Iterator[tuple[Key, bytes]]:
+    """K-way merge by key order.
 
-    Internal keys are globally unique (unique sequence numbers), so no
+    Keys are globally unique (unique sequence numbers), so no
     tie-breaking between sources is ever required; the source index in
     the heap entries only prevents Python from comparing values.
     """
-    heap: list[tuple[tuple, int, InternalKey, bytes, Iterator]] = []
+    heap = []
     for idx, src in enumerate(sources):
-        for ikey, value in src:
-            heap.append((ikey.sort_key, idx, ikey, value, src))
+        advance = src.__next__
+        for entry in src:
+            heap.append((entry[0], idx, entry, advance))
             break
     heapq.heapify(heap)
+    heapreplace = heapq.heapreplace
     while heap:
-        _sort_key, idx, ikey, value, src = heapq.heappop(heap)
-        yield ikey, value
-        for next_ikey, next_value in src:
-            heapq.heappush(heap, (next_ikey.sort_key, idx, next_ikey, next_value, src))
-            break
+        _key, idx, entry, advance = heap[0]
+        yield entry
+        try:
+            entry = advance()
+        except StopIteration:
+            heapq.heappop(heap)
+        else:
+            heapreplace(heap, (entry[0], idx, entry, advance))
 
 
 class DBIterator:
     """Iterates live ``(user_key, value)`` pairs visible at a snapshot."""
 
-    def __init__(self, merged: Iterator[tuple[InternalKey, bytes]],
+    def __init__(self, merged: Iterator[tuple[Key, bytes]],
                  snapshot_sequence: int) -> None:
         self._merged = merged
         self._snapshot = snapshot_sequence
 
     def __iter__(self) -> Iterator[tuple[bytes, bytes]]:
+        # a key's second field is -trailer: anything below the lookup
+        # key's is newer than the snapshot
+        newest_visible = lookup_key(b"", self._snapshot)[1]
         current_user_key: bytes | None = None
-        for ikey, value in self._merged:
-            if ikey.sequence > self._snapshot:
+        for (user_key, neg_trailer), value in self._merged:
+            if neg_trailer < newest_visible:
                 continue
-            if ikey.user_key == current_user_key:
+            if user_key == current_user_key:
                 continue  # an older version of a key already emitted/suppressed
-            current_user_key = ikey.user_key
-            if ikey.type == TYPE_DELETION:
+            current_user_key = user_key
+            if -neg_trailer & 0xFF == TYPE_DELETION:
                 continue
-            yield ikey.user_key, value
+            yield user_key, value
 
 
 def take_range(pairs: Iterable[tuple[bytes, bytes]], start: bytes | None,

@@ -1,8 +1,9 @@
 """Memtable: the in-memory write buffer backed by a skiplist.
 
-Entries are keyed by the internal-key sort tuple
-``(user_key, -sequence, -type)`` so iteration yields LevelDB's internal
-ordering directly.  ``approximate_size`` tracks the payload bytes plus a
+Entries are keyed by the :data:`~repro.lsm.ikey.Key` tuple
+``(user_key, -trailer)`` so iteration yields LevelDB's internal
+ordering directly, in the ``(Key, value)`` shape flushes and scans
+consume.  ``approximate_size`` tracks the payload bytes plus a
 small per-entry overhead, mirroring LevelDB's arena accounting, and is
 what the DB compares against ``Options.write_buffer_size``.
 """
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from repro.lsm.ikey import InternalKey, TYPE_DELETION, TYPE_VALUE
+from repro.lsm.ikey import Key, TYPE_VALUE, lookup_key, make_key
 from repro.lsm.skiplist import SkipList
 
 #: bookkeeping bytes charged per entry (trailer + node overhead stand-in)
@@ -34,8 +35,8 @@ class Memtable:
 
     def add(self, sequence: int, type_: int, user_key: bytes, value: bytes) -> None:
         """Insert one entry (``value`` is ignored for deletions)."""
-        key = InternalKey(user_key, sequence, type_)
-        self._table.insert(key.sort_key, value if type_ == TYPE_VALUE else b"")
+        self._table.insert(make_key(user_key, sequence, type_),
+                           value if type_ == TYPE_VALUE else b"")
         self._size += len(user_key) + len(value) + _ENTRY_OVERHEAD
 
     def get(self, user_key: bytes, snapshot_sequence: int) -> tuple[bool, bytes | None]:
@@ -45,22 +46,20 @@ class Memtable:
         ``(True, None)`` for a tombstone, ``(False, None)`` when this
         memtable holds nothing visible for the key.
         """
-        seek_key = (user_key, -snapshot_sequence, -TYPE_VALUE)
-        for (ukey, neg_seq, neg_type), value in self._table.seek(seek_key):
+        seek = lookup_key(user_key, snapshot_sequence)
+        for (ukey, neg_trailer), value in self._table.seek(seek):
             if ukey != user_key:
                 break
             # seek() already skipped entries newer than the snapshot
-            if -neg_type == TYPE_DELETION:
-                return True, None
-            return True, value
+            if -neg_trailer & 0xFF == TYPE_VALUE:
+                return True, value
+            return True, None
         return False, None
 
-    def entries(self) -> Iterator[tuple[InternalKey, bytes]]:
+    def entries(self) -> Iterator[tuple[Key, bytes]]:
         """All entries in internal-key order (for flush and scans)."""
-        for (ukey, neg_seq, neg_type), value in self._table:
-            yield InternalKey(ukey, -neg_seq, -neg_type), value
+        return iter(self._table)
 
-    def entries_from(self, seek: InternalKey) -> Iterator[tuple[InternalKey, bytes]]:
-        """Entries starting at the first internal key >= ``seek``."""
-        for (ukey, neg_seq, neg_type), value in self._table.seek(seek.sort_key):
-            yield InternalKey(ukey, -neg_seq, -neg_type), value
+    def entries_from(self, seek: Key) -> Iterator[tuple[Key, bytes]]:
+        """Entries starting at the first key >= ``seek``."""
+        return self._table.seek(seek)

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from repro.errors import ReproError
 from repro.fs.storage import Storage
 from repro.lsm.db import DB
+from repro.lsm.ikey import InternalKey
 from repro.lsm.options import Options
 from repro.lsm.sstable import SSTableReader
 from repro.lsm.version import FileMetaData, VersionEdit, VersionSet
@@ -121,20 +122,19 @@ def _inspect_table(storage: Storage, name: str,
     """Read one table end to end; returns (meta, entries, max sequence)."""
     size = storage.file_size(name)
     reader = SSTableReader(storage, name, size)
-    smallest = largest = None
+    smallest = previous = None
     count = 0
     top_seq = 0
-    previous = None
-    for ikey, _value in reader:
-        if previous is not None and not previous < ikey:
+    for key, _value in reader:
+        if previous is not None and not previous < key:
             raise ReproError(f"{name}: keys out of order")
-        previous = ikey
+        previous = key
         if smallest is None:
-            smallest = ikey
-        largest = ikey
-        top_seq = max(top_seq, ikey.sequence)
+            smallest = key
+        top_seq = max(top_seq, -key[1] >> 8)
         count += 1
-    if smallest is None or largest is None:
+    if smallest is None or previous is None:
         raise ReproError(f"{name}: empty table")
-    meta = FileMetaData(number, size, smallest, largest, count, run=number)
+    meta = FileMetaData(number, size, InternalKey.from_key(smallest),
+                        InternalKey.from_key(previous), count, run=number)
     return meta, count, top_seq

@@ -16,6 +16,7 @@ compaction-efficiency argument.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -23,7 +24,13 @@ from repro.errors import CorruptionError, MediaError
 from repro.lsm.block import Block, BlockBuilder, BlockHandle
 from repro.lsm.bloom import BloomFilter
 from repro.lsm.cache import LRUCache
-from repro.lsm.ikey import InternalKey, TYPE_DELETION, lookup_key
+from repro.lsm.ikey import (
+    InternalKey,
+    Key,
+    TYPE_DELETION,
+    encode_key,
+    lookup_key,
+)
 from repro.lsm.options import Options
 from repro.util.varint import decode_fixed64, encode_fixed64
 
@@ -51,14 +58,12 @@ class SSTableBuilder:
         self._block = BlockBuilder(options.block_restart_interval)
         self._index_entries: list[tuple[bytes, BlockHandle]] = []
         self._user_keys: list[bytes] = []
-        self._num_entries = 0
-        self._smallest: InternalKey | None = None
-        self._largest: InternalKey | None = None
-        self._last_key: InternalKey | None = None
+        self._smallest: Key | None = None
+        self._last_key: Key | None = None
 
     @property
     def num_entries(self) -> int:
-        return self._num_entries
+        return len(self._user_keys)
 
     def estimated_size(self) -> int:
         return len(self._buf) + self._block.size_estimate()
@@ -81,21 +86,22 @@ class SSTableBuilder:
         self._drained = len(self._buf)
         return out
 
-    def add(self, ikey: InternalKey, value: bytes) -> None:
-        if self._last_key is not None and not self._last_key < ikey:
+    def add(self, key: Key, value: bytes) -> int:
+        """Append one entry; returns the new :meth:`estimated_size`."""
+        last = self._last_key
+        if last is None:
+            self._smallest = key
+        elif not last < key:
             raise CorruptionError(
-                f"keys added out of order: {self._last_key} then {ikey}"
-            )
-        self._last_key = ikey
-        if self._smallest is None:
-            self._smallest = ikey
-        self._largest = ikey
-        encoded = ikey.encode()
-        self._block.add(encoded, value)
-        self._user_keys.append(ikey.user_key)
-        self._num_entries += 1
-        if self._block.size_estimate() >= self._options.block_size:
+                f"keys added out of order: {last} then {key}")
+        self._last_key = key
+        self._user_keys.append(key[0])
+        encoded = encode_key(key)
+        block_size = self._block.add(encoded, value)
+        if block_size >= self._options.block_size:
             self._flush_block(encoded)
+            return self.estimated_size()
+        return len(self._buf) + block_size
 
     def _flush_block(self, last_encoded_key: bytes) -> None:
         data = self._block.finish()
@@ -112,11 +118,11 @@ class SSTableBuilder:
         filter, index, footer) and ``properties.file_size`` is still the
         total size.
         """
-        if self._num_entries == 0:
+        if not self._user_keys:
             raise CorruptionError("cannot finish an empty SSTable")
         if not self._block.empty:
             assert self._last_key is not None
-            self._flush_block(self._last_key.encode())
+            self._flush_block(encode_key(self._last_key))
 
         if self._options.bloom_bits_per_key > 0:
             bloom = BloomFilter.build(self._user_keys,
@@ -140,9 +146,11 @@ class SSTableBuilder:
         self._buf += encode_fixed64(filter_handle.size)
         self._buf += encode_fixed64(_MAGIC)
 
-        assert self._smallest is not None and self._largest is not None
-        props = TableProperties(self._num_entries, self._smallest,
-                                self._largest, len(self._buf))
+        assert self._smallest is not None and self._last_key is not None
+        props = TableProperties(len(self._user_keys),
+                                InternalKey.from_key(self._smallest),
+                                InternalKey.from_key(self._last_key),
+                                len(self._buf))
         return self.drain(), props
 
 
@@ -197,10 +205,13 @@ class SSTableReader:
 
         index_block = self._retrying(lambda: Block(
             storage.read_file(name, index_handle.offset, index_handle.size)))
-        self._index: list[tuple[InternalKey, BlockHandle]] = []
-        for ikey, value in index_block:
+        #: last key of each data block, and where the block lives
+        self._index_keys: list[Key] = []
+        self._index: list[BlockHandle] = []
+        for key, value in index_block:
             handle, _pos = BlockHandle.decode(value)
-            self._index.append((ikey, handle))
+            self._index_keys.append(key)
+            self._index.append(handle)
 
         self._bloom: BloomFilter | None = None
         if filter_handle.size > 0:
@@ -274,22 +285,14 @@ class SSTableReader:
         Returns the number of blocks checked.
         """
         checked = 0
-        for _key, handle in self._index:
+        for handle in self._index:
             self._fetch_block(handle, verify=True)
             checked += 1
         return checked
 
-    def _find_block_index(self, target: InternalKey) -> int:
+    def _find_block_index(self, target: Key) -> int:
         """First block whose largest key is >= ``target`` (len == miss)."""
-        target_sort = target.sort_key
-        lo, hi = 0, len(self._index)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._index[mid][0].sort_key < target_sort:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
+        return bisect_left(self._index_keys, target)
 
     def get(self, user_key: bytes, snapshot_sequence: int) -> tuple[bool, bytes | None]:
         """Point lookup; same contract as :meth:`Memtable.get`."""
@@ -299,33 +302,33 @@ class SSTableReader:
         index = self._find_block_index(target)
         if index == len(self._index):
             return False, None
-        block = self._read_block(self._index[index][1])
-        for ikey, value in block.seek(target):
-            if ikey.user_key != user_key:
+        block = self._read_block(self._index[index])
+        for (found_key, neg_trailer), value in block.seek(target):
+            if found_key != user_key:
                 break
-            if ikey.type == TYPE_DELETION:
+            if -neg_trailer & 0xFF == TYPE_DELETION:
                 return True, None
             return True, value
         return False, None
 
-    def __iter__(self) -> Iterator[tuple[InternalKey, bytes]]:
-        yield from self._iterate_blocks(0, None)
+    def __iter__(self) -> Iterator[tuple[Key, bytes]]:
+        return self._iterate_blocks(0, None)
 
     def iterate(self, readahead_blocks: int | None = None
-                ) -> Iterator[tuple[InternalKey, bytes]]:
+                ) -> Iterator[tuple[Key, bytes]]:
         """Full iteration with an explicit readahead override."""
-        yield from self._iterate_blocks(0, None, readahead_blocks)
+        return self._iterate_blocks(0, None, readahead_blocks)
 
-    def iterate_from(self, target: InternalKey,
+    def iterate_from(self, target: Key,
                      readahead_blocks: int | None = None
-                     ) -> Iterator[tuple[InternalKey, bytes]]:
-        """Entries with internal key >= ``target``."""
-        start = self._find_block_index(target)
-        yield from self._iterate_blocks(start, target, readahead_blocks)
+                     ) -> Iterator[tuple[Key, bytes]]:
+        """Entries with key >= ``target``."""
+        return self._iterate_blocks(self._find_block_index(target), target,
+                                    readahead_blocks)
 
-    def _iterate_blocks(self, start_index: int, target: InternalKey | None,
+    def _iterate_blocks(self, start_index: int, target: Key | None,
                         readahead_blocks: int | None = None
-                        ) -> Iterator[tuple[InternalKey, bytes]]:
+                        ) -> Iterator[tuple[Key, bytes]]:
         """Stream blocks with readahead: consecutive blocks are fetched
         in chunks of ``readahead_blocks`` with one device read each,
         modelling OS readahead during sequential iteration."""
@@ -343,7 +346,7 @@ class SSTableReader:
             index = chunk_end
 
     def _read_block_range(self, start_index: int, end_index: int) -> list[Block]:
-        handles = [handle for _key, handle in self._index[start_index:end_index]]
+        handles = self._index[start_index:end_index]
         if len(handles) == 1:
             return [self._read_block(handles[0])]
         first = handles[0].offset

@@ -148,17 +148,15 @@ def _verify_table(db: DB, level: int, meta, report: VerifyReport) -> None:
         return
     try:
         reader = SSTableReader(db.storage, name, size)
-        previous = None
+        smallest = previous = None
         count = 0
-        smallest = largest = None
-        for ikey, _value in reader:
-            if previous is not None and not previous < ikey:
+        for key, _value in reader:
+            if previous is not None and not previous < key:
                 report.add(f"L{level}: {name} keys out of order at #{count}")
                 return
             if smallest is None:
-                smallest = ikey
-            largest = ikey
-            previous = ikey
+                smallest = key
+            previous = key
             count += 1
         report.tables_checked += 1
         report.entries_checked += count
@@ -168,9 +166,9 @@ def _verify_table(db: DB, level: int, meta, report: VerifyReport) -> None:
     if count != meta.entries:
         report.add(f"L{level}: {name} has {count} entries, "
                    f"manifest says {meta.entries}")
-    if smallest is not None and smallest.user_key != meta.smallest.user_key:
+    if smallest is not None and smallest[0] != meta.smallest.user_key:
         report.add(f"L{level}: {name} smallest key mismatch")
-    if largest is not None and largest.user_key != meta.largest.user_key:
+    if previous is not None and previous[0] != meta.largest.user_key:
         report.add(f"L{level}: {name} largest key mismatch")
 
 

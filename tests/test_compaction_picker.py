@@ -17,6 +17,10 @@ def ik(k: bytes, seq: int = 1, type_: int = TYPE_VALUE) -> InternalKey:
     return InternalKey(k, seq, type_)
 
 
+def key(k: bytes, seq: int = 1, type_: int = TYPE_VALUE):
+    return ik(k, seq, type_).sort_key
+
+
 def fmd(number, lo, hi, size=4 * KiB, run=0):
     return FileMetaData(number, size, ik(lo), ik(hi), entries=10, run=run)
 
@@ -179,21 +183,21 @@ class TestMutuallyDisjoint:
 
 class TestCompactEntries:
     def test_newest_version_survives(self):
-        stream = [(ik(b"k", 9), b"new"), (ik(b"k", 5), b"old")]
+        stream = [(key(b"k", 9), b"new"), (key(b"k", 5), b"old")]
         out = list(compact_entries(iter(stream), lambda _k: False))
-        assert out == [(ik(b"k", 9), b"new")]
+        assert out == [(key(b"k", 9), b"new")]
 
     def test_tombstone_kept_when_deeper_data_possible(self):
-        stream = [(ik(b"k", 9, TYPE_DELETION), b"")]
+        stream = [(key(b"k", 9, TYPE_DELETION), b"")]
         out = list(compact_entries(iter(stream), lambda _k: False))
         assert len(out) == 1
 
     def test_tombstone_dropped_at_base_level(self):
-        stream = [(ik(b"k", 9, TYPE_DELETION), b""), (ik(b"k", 5), b"old")]
+        stream = [(key(b"k", 9, TYPE_DELETION), b""), (key(b"k", 5), b"old")]
         out = list(compact_entries(iter(stream), lambda _k: True))
         assert out == []
 
     def test_distinct_keys_all_survive(self):
-        stream = [(ik(b"a", 3), b"1"), (ik(b"b", 2), b"2"), (ik(b"c", 1), b"3")]
+        stream = [(key(b"a", 3), b"1"), (key(b"b", 2), b"2"), (key(b"c", 1), b"3")]
         out = list(compact_entries(iter(stream), lambda _k: True))
         assert len(out) == 3

@@ -10,7 +10,9 @@ from repro.lsm.ikey import (
     TYPE_DELETION,
     TYPE_VALUE,
     decode_internal_key,
+    encode_key,
     lookup_key,
+    make_key,
 )
 
 
@@ -59,11 +61,21 @@ class TestOrdering:
 
     def test_lookup_key_sorts_before_visible_entries(self):
         seek = lookup_key(b"k", 10)
-        visible = InternalKey(b"k", 10, TYPE_VALUE)
-        older = InternalKey(b"k", 3, TYPE_DELETION)
-        invisible = InternalKey(b"k", 11, TYPE_VALUE)
+        visible = make_key(b"k", 10, TYPE_VALUE)
+        older = make_key(b"k", 3, TYPE_DELETION)
+        invisible = make_key(b"k", 11, TYPE_VALUE)
         assert invisible < seek       # newer than snapshot: skipped by seek
         assert seek <= visible <= older
+
+    @given(st.binary(max_size=16), st.integers(0, MAX_SEQUENCE),
+           st.sampled_from([TYPE_VALUE, TYPE_DELETION]))
+    def test_key_tuple_is_the_edge_form(self, user_key, seq, type_):
+        key = make_key(user_key, seq, type_)
+        ikey = InternalKey(user_key, seq, type_)
+        assert ikey.sort_key == key
+        assert InternalKey.from_key(key) == ikey
+        assert encode_key(key) == ikey.encode()
+        assert decode_internal_key(encode_key(key)) == ikey
 
     @given(st.binary(max_size=12), st.binary(max_size=12),
            st.integers(0, 1000), st.integers(0, 1000))

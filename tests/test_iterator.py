@@ -2,12 +2,12 @@
 
 from hypothesis import given, strategies as st
 
-from repro.lsm.ikey import InternalKey, TYPE_DELETION, TYPE_VALUE
+from repro.lsm.ikey import Key, TYPE_DELETION, TYPE_VALUE, make_key
 from repro.lsm.iterator import DBIterator, merge_iterators, take_range
 
 
-def ik(k: bytes, seq: int, type_: int = TYPE_VALUE) -> InternalKey:
-    return InternalKey(k, seq, type_)
+def ik(k: bytes, seq: int, type_: int = TYPE_VALUE) -> Key:
+    return make_key(k, seq, type_)
 
 
 class TestMergeIterators:
@@ -18,7 +18,7 @@ class TestMergeIterators:
     def test_two_way_merge(self):
         a = [(ik(b"a", 1), b"1"), (ik(b"c", 3), b"3")]
         b = [(ik(b"b", 2), b"2"), (ik(b"d", 4), b"4")]
-        out = [k.user_key for k, _v in merge_iterators([iter(a), iter(b)])]
+        out = [k[0] for k, _v in merge_iterators([iter(a), iter(b)])]
         assert out == [b"a", b"b", b"c", b"d"]
 
     def test_same_user_key_ordered_by_sequence_desc(self):
@@ -39,9 +39,9 @@ class TestMergeIterators:
                     continue  # sequence numbers are globally unique
                 seqs.add(seq)
                 entries.append((ik(b"k%02d" % key_i, seq), b"v"))
-            entries.sort(key=lambda e: e[0].sort_key)
+            entries.sort()
             sources.append(iter(entries))
-        merged = [k.sort_key for k, _v in merge_iterators(sources)]
+        merged = [k for k, _v in merge_iterators(sources)]
         assert merged == sorted(merged)
 
 

@@ -2,7 +2,7 @@
 
 from hypothesis import given, strategies as st
 
-from repro.lsm.ikey import TYPE_DELETION, TYPE_VALUE, lookup_key
+from repro.lsm.ikey import TYPE_DELETION, TYPE_VALUE, lookup_key, make_key
 from repro.lsm.memtable import Memtable
 
 
@@ -46,8 +46,9 @@ class TestMemtable:
         m.add(1, TYPE_VALUE, b"a", b"y")
         m.add(2, TYPE_VALUE, b"b", b"z")
         entries = list(m.entries())
-        assert [(e.user_key, e.sequence) for e, _v in entries] == [
-            (b"a", 1), (b"b", 3), (b"b", 2),
+        assert [key for key, _v in entries] == [
+            make_key(b"a", 1, TYPE_VALUE), make_key(b"b", 3, TYPE_VALUE),
+            make_key(b"b", 2, TYPE_VALUE),
         ]
 
     def test_entries_from(self):
@@ -55,7 +56,7 @@ class TestMemtable:
         for i in range(10):
             m.add(i + 1, TYPE_VALUE, b"k%02d" % i, b"v")
         seek = lookup_key(b"k05", 100)
-        got = [e.user_key for e, _v in m.entries_from(seek)]
+        got = [key[0] for key, _v in m.entries_from(seek)]
         assert got == [b"k%02d" % i for i in range(5, 10)]
 
     @given(st.lists(st.tuples(st.binary(min_size=1, max_size=6),

@@ -253,7 +253,7 @@ class TestDegradedModeOverTheWire:
         key whose only version lives in that table."""
         version = shard.db.versions.current
         meta = next(f for level in reversed(version.files) for f in level)
-        keys = [ikey.user_key for ikey, _ in shard.db._table(meta)]
+        keys = [key[0] for key, _ in shard.db._table(meta)]
         victim = keys[len(keys) // 2]
         media = shard.drive.inject_media_errors(seed=1)
         for ext in shard.storage.file_extents(meta.name):

@@ -42,7 +42,7 @@ def _rot_table(store):
     """
     version = store.db.versions.current
     meta = next(f for level in reversed(version.files) for f in level)
-    keys = [ikey.user_key for ikey, _ in store.db._table(meta)]
+    keys = [key[0] for key, _ in store.db._table(meta)]
     victim = keys[len(keys) // 2]
     media = store.drive.inject_media_errors(seed=1)
     for ext in store.storage.file_extents(meta.name):

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import CorruptionError
 from repro.lsm.cache import LRUCache
-from repro.lsm.ikey import InternalKey, TYPE_DELETION, TYPE_VALUE
+from repro.lsm.ikey import TYPE_DELETION, TYPE_VALUE, lookup_key, make_key
 from repro.lsm.options import Options
 from repro.lsm.sstable import FOOTER_SIZE, SSTableBuilder, SSTableReader
 from repro.fs.ext4sim import Ext4Storage
@@ -23,13 +23,13 @@ def make_storage():
 def build_table(pairs, options=None):
     options = options or Options(block_size=512, block_restart_interval=4)
     b = SSTableBuilder(options)
-    for ikey, value in pairs:
-        b.add(ikey, value)
+    for key, value in pairs:
+        b.add(key, value)
     return b.finish()
 
 
 def pairs_for(n, seq=10):
-    return [(InternalKey(b"key%05d" % i, seq, TYPE_VALUE), b"value-%d" % i)
+    return [(make_key(b"key%05d" % i, seq, TYPE_VALUE), b"value-%d" % i)
             for i in range(n)]
 
 
@@ -41,9 +41,9 @@ class TestBuilder:
 
     def test_out_of_order_rejected(self):
         b = SSTableBuilder(Options())
-        b.add(InternalKey(b"b", 1, TYPE_VALUE), b"v")
+        b.add(make_key(b"b", 1, TYPE_VALUE), b"v")
         with pytest.raises(CorruptionError):
-            b.add(InternalKey(b"a", 1, TYPE_VALUE), b"v")
+            b.add(make_key(b"a", 1, TYPE_VALUE), b"v")
 
     def test_properties(self):
         data, props = build_table(pairs_for(100))
@@ -59,8 +59,8 @@ class TestBuilder:
 
         b = SSTableBuilder(options)
         chunks = []
-        for ikey, value in pairs_for(200):
-            b.add(ikey, value)
+        for key, value in pairs_for(200):
+            b.add(key, value)
             if b.pending_bytes >= 1024:
                 chunks.append(b.drain())
         tail, props_b = b.finish()
@@ -88,37 +88,35 @@ class TestReader:
         assert reader.get(b"nope", 100) == (False, None)
 
     def test_get_respects_snapshot(self):
-        pairs = [(InternalKey(b"k", 20, TYPE_VALUE), b"new"),
-                 (InternalKey(b"k", 10, TYPE_VALUE), b"old")]
+        pairs = [(make_key(b"k", 20, TYPE_VALUE), b"new"),
+                 (make_key(b"k", 10, TYPE_VALUE), b"old")]
         reader, _ = self._open(pairs)
         assert reader.get(b"k", 15) == (True, b"old")
         assert reader.get(b"k", 25) == (True, b"new")
         assert reader.get(b"k", 5) == (False, None)
 
     def test_get_tombstone(self):
-        pairs = [(InternalKey(b"k", 20, TYPE_DELETION), b""),
-                 (InternalKey(b"k", 10, TYPE_VALUE), b"old")]
+        pairs = [(make_key(b"k", 20, TYPE_DELETION), b""),
+                 (make_key(b"k", 10, TYPE_VALUE), b"old")]
         reader, _ = self._open(pairs)
         assert reader.get(b"k", 30) == (True, None)
 
     def test_iteration_full(self):
         pairs = pairs_for(250)
         reader, _ = self._open(pairs)
-        got = [(k.user_key, v) for k, v in reader]
-        assert got == [(k.user_key, v) for k, v in pairs]
+        assert list(reader) == pairs
 
     def test_iterate_from(self):
         pairs = pairs_for(100)
         reader, _ = self._open(pairs)
-        from repro.lsm.ikey import lookup_key
-        got = [k.user_key for k, _v in reader.iterate_from(lookup_key(b"key00050", 999))]
+        got = [k[0] for k, _v in reader.iterate_from(lookup_key(b"key00050", 999))]
         assert got == [b"key%05d" % i for i in range(50, 100)]
 
     def test_readahead_results_identical(self):
         pairs = pairs_for(300)
         r1, _ = self._open(pairs, readahead=1)
         r8, _ = self._open(pairs, readahead=8)
-        assert [(k.user_key, v) for k, v in r1] == [(k.user_key, v) for k, v in r8]
+        assert list(r1) == list(r8) == pairs
 
     def test_readahead_fewer_device_reads(self):
         pairs = pairs_for(400)
@@ -174,7 +172,7 @@ class TestReader:
     @settings(max_examples=20, deadline=None)
     @given(st.sets(st.integers(0, 9999), min_size=1, max_size=150))
     def test_every_written_key_readable(self, indices):
-        pairs = [(InternalKey(b"k%04d" % i, 7, TYPE_VALUE), b"v%d" % i)
+        pairs = [(make_key(b"k%04d" % i, 7, TYPE_VALUE), b"v%d" % i)
                  for i in sorted(indices)]
         reader, _ = self._open(pairs)
         for i in indices:
