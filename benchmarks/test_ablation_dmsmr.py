@@ -12,11 +12,10 @@ fills, then stalls on cleaning; its device-level write amplification
 remains, so SEALDB's co-design still wins.
 """
 
-from repro.baselines.leveldb import LevelDBStore
-from repro.core.sealdb import SealDB
 from repro.experiments.common import MiB, kv_for, scaled_bytes
 from repro.harness.profiles import DEFAULT_PROFILE
 from repro.harness.report import render_table
+from repro.registry import build_store
 from repro.workloads.microbench import MicroBenchmark
 
 DB_BYTES = scaled_bytes(6 * MiB)
@@ -33,9 +32,10 @@ def _load(store):
 def _run():
     rows = {}
     for label, store in (
-        ("LevelDB/HM-SMR", LevelDBStore(DEFAULT_PROFILE)),
-        ("LevelDB/DM-SMR", LevelDBStore(DEFAULT_PROFILE, drive_kind="dm-smr")),
-        ("SEALDB", SealDB(DEFAULT_PROFILE)),
+        ("LevelDB/HM-SMR", build_store("leveldb", DEFAULT_PROFILE)),
+        ("LevelDB/DM-SMR",
+         build_store("leveldb", DEFAULT_PROFILE, drive_kind="dm-smr")),
+        ("SEALDB", build_store("sealdb", DEFAULT_PROFILE)),
     ):
         result = _load(store)
         rows[label] = {

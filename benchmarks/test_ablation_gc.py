@@ -1,15 +1,16 @@
 """Ablation: the fragment garbage collection (paper future work).
 
 Fig. 13 leaves ~9 % of occupied space in fragments and defers a GC
-policy to future work.  ``SealDB.collect_fragments`` relocates the sets
-pinning fragments in place; this bench measures how much fragment space
-one pass reclaims and what the relocation traffic costs.
+policy to future work.  ``DynamicBandStorage.collect_fragments``
+relocates the sets pinning fragments in place; this bench measures how
+much fragment space one pass reclaims and what the relocation traffic
+costs.
 """
 
-from repro.core.sealdb import SealDB
 from repro.experiments.common import MiB, kv_for, scaled_bytes
 from repro.harness.profiles import DEFAULT_PROFILE
 from repro.harness.report import render_table
+from repro.registry import build_store
 from repro.workloads.microbench import MicroBenchmark
 
 DB_BYTES = scaled_bytes(8 * MiB)
@@ -17,7 +18,7 @@ DB_BYTES = scaled_bytes(8 * MiB)
 
 def _run():
     profile = DEFAULT_PROFILE
-    store = SealDB(profile)
+    store = build_store("sealdb", profile)
     bench = MicroBenchmark(kv_for(profile),
                            profile.entries_for_bytes(DB_BYTES), seed=0)
     bench.fill_random(store)
@@ -25,7 +26,7 @@ def _run():
     frag_before = sum(f.length for f in store.fragments())
     occupied_before = store.band_manager.occupied_bytes()
     time_before = store.now
-    moves, rewritten = store.collect_fragments(max_moves=64)
+    moves, rewritten = store.storage.collect_fragments(max_moves=64)
     gc_seconds = store.now - time_before
     frag_after = sum(f.length for f in store.fragments())
     store.band_manager.check_invariants()

@@ -8,10 +8,10 @@ shingle-overlap width is a drive property -- this sweep shows why the
 paper's choice of one-SSTable guards is a reasonable operating point.)
 """
 
-from repro.core.sealdb import SealDB
 from repro.experiments.common import MiB, kv_for, scaled_bytes
 from repro.harness.profiles import DEFAULT_PROFILE
 from repro.harness.report import render_table
+from repro.registry import build_store
 from repro.workloads.microbench import MicroBenchmark
 
 DB_BYTES = scaled_bytes(6 * MiB)
@@ -20,7 +20,7 @@ DB_BYTES = scaled_bytes(6 * MiB)
 def _run(guard_ratio: float):
     profile = DEFAULT_PROFILE.scaled(
         guard_size=int(DEFAULT_PROFILE.sstable_size * guard_ratio))
-    store = SealDB(profile)
+    store = build_store("sealdb", profile)
     bench = MicroBenchmark(kv_for(profile),
                            profile.entries_for_bytes(DB_BYTES), seed=0)
     result = bench.fill_random(store)

@@ -10,10 +10,10 @@ which is why the default SEALDB configuration keeps the round-robin
 pointer, matching the paper's equal-WA result in Fig. 12(a).
 """
 
-from repro.core.sealdb import SealDB
 from repro.experiments.common import MiB, kv_for, scaled_bytes
 from repro.harness.profiles import DEFAULT_PROFILE
 from repro.harness.report import render_table
+from repro.registry import build_store
 from repro.workloads.microbench import MicroBenchmark
 
 DB_BYTES = scaled_bytes(8 * MiB)
@@ -21,8 +21,7 @@ DB_BYTES = scaled_bytes(8 * MiB)
 
 def _run(policy: str):
     profile = DEFAULT_PROFILE
-    store = SealDB(profile)
-    store.db.options.victim_policy = policy
+    store = build_store("sealdb", profile, victim_policy=policy)
     bench = MicroBenchmark(kv_for(profile),
                            profile.entries_for_bytes(DB_BYTES), seed=0)
     result = bench.fill_random(store)

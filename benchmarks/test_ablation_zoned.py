@@ -9,11 +9,10 @@ device, and compares device write amplification (zone GC traffic), GC
 work, and load throughput.
 """
 
-from repro.baselines.zonekv import ZoneKVStore
-from repro.core.sealdb import SealDB
 from repro.experiments.common import MiB, kv_for, scaled_bytes
 from repro.harness.profiles import DEFAULT_PROFILE
 from repro.harness.report import render_table
+from repro.registry import build_store
 from repro.workloads.microbench import MicroBenchmark
 
 DB_BYTES = scaled_bytes(8 * MiB)
@@ -25,7 +24,8 @@ def _run():
     # in place and feel none of it
     profile = DEFAULT_PROFILE.scaled(capacity=int(2.5 * DB_BYTES))
     rows = {}
-    for store in (SealDB(profile), ZoneKVStore(profile)):
+    for store in (build_store("sealdb", profile),
+                  build_store("zonekv", profile)):
         bench = MicroBenchmark(kv_for(profile),
                                profile.entries_for_bytes(DB_BYTES), seed=0)
         result = bench.fill_random(store)
@@ -33,8 +33,8 @@ def _run():
             "ops_per_sec": result.ops_per_sec,
             "awa": store.awa(),
             "mwa": store.mwa(),
-            "gc_runs": getattr(store, "zone_gc_runs", 0),
-            "gc_bytes": getattr(store, "zone_gc_bytes", 0),
+            "gc_runs": getattr(store.storage, "gc_runs", 0),
+            "gc_bytes": getattr(store.storage, "gc_bytes_moved", 0),
         }
     return rows
 

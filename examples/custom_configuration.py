@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
-"""Build your own store: mixing drives, placement policies, and engines.
+"""Build your own store: a store kind with a changed profile or engine.
 
-The facade classes cover the paper's configurations, but every layer is
-a public building block.  This example assembles two custom stacks:
+Every store kind is a row of drive, placement policy and engine options
+(``repro.registry.STORE_SPECS``).  ``build_store`` takes any profile and
+any ``Options`` field on top of a kind, so a variant is one call.  This
+example builds two custom SEALDB stacks:
 
 1. a *conservative* SEALDB variant -- doubled guard regions (for a
    drive with wider shingle overlap) and the paper's aggressive
@@ -15,12 +17,8 @@ Both are compared against stock SEALDB on the same random load.
 Run:  python examples/custom_configuration.py
 """
 
-from repro import SMALL_PROFILE
-from repro.core.storage import DynamicBandStorage
-from repro.kvstore import KVStoreBase
+from repro import SMALL_PROFILE, KVStoreBase, build_store
 from repro.smr.geometry import TrackGeometry
-from repro.smr.raw_hmsmr import RawHMSMRDrive
-from repro.smr.timing import SMR_PROFILE
 from repro.workloads import KeyValueGenerator, MicroBenchmark
 
 
@@ -30,14 +28,8 @@ def build_custom(name: str, *, guard_tracks: int = 2, levels: int = 7,
     geometry = TrackGeometry.for_guard(profile.guard_size,
                                        shingle_overlap_tracks=2)
     guard = geometry.track_bytes * guard_tracks
-    drive = RawHMSMRDrive(profile.capacity, guard_size=guard,
-                          profile=SMR_PROFILE.scaled(profile.io_scale))
-    storage = DynamicBandStorage(drive, wal_size=profile.wal_region,
-                                 meta_size=profile.meta_region,
-                                 class_unit=profile.sstable_size)
-    options = profile.options(use_sets=True, max_levels=levels,
-                              victim_policy=victim_policy)
-    store = KVStoreBase(drive, storage, options)
+    store = build_store("sealdb", profile.scaled(guard_size=guard),
+                        max_levels=levels, victim_policy=victim_policy)
     store.name = name
     return store
 
@@ -60,10 +52,8 @@ def main() -> None:
     for store in configs:
         bench = MicroBenchmark(kv, entries, seed=3)
         result = bench.fill_random(store)
-        manager = store.storage.manager
-        avg_set = store.storage.sets.average_set_size()
-        fragments = sum(
-            f.length for f in manager.fragments(int(avg_set) or 1))
+        manager = store.band_manager
+        fragments = sum(f.length for f in store.fragments())
         print(f"{store.name:>12} {result.ops_per_sec:>12,.0f} "
               f"{store.wa():>6.2f}x {fragments / 1024:>9,.0f} "
               f"{manager.occupied_bytes() / 1024:>14,.0f}")

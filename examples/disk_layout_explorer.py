@@ -9,7 +9,7 @@ Finishes with a fragment-GC pass so the reclamation is visible.
 Run:  python examples/disk_layout_explorer.py
 """
 
-from repro import SealDB, SMALL_PROFILE
+from repro import KVStoreBase, SMALL_PROFILE, build_store
 from repro.harness.plotting import disk_layout_map
 from repro.workloads.generators import KeyValueGenerator, scramble32
 
@@ -18,7 +18,7 @@ STAGES = 5
 ENTRIES_PER_STAGE = 4000
 
 
-def draw(db: SealDB, label: str) -> None:
+def draw(db: KVStoreBase, label: str) -> None:
     manager = db.band_manager
     extents = [(0, db.storage.data_start, "H")]            # wal/meta regions
     extents += [(e.start, e.end, "#") for e in manager.allocated]
@@ -34,7 +34,7 @@ def draw(db: SealDB, label: str) -> None:
 
 
 def main() -> None:
-    db = SealDB(SMALL_PROFILE)
+    db = build_store("sealdb", SMALL_PROFILE)
     kv = KeyValueGenerator(SMALL_PROFILE.key_size, SMALL_PROFILE.value_size)
     print("legend: H = wal/meta regions, # = live sets, . = free, "
           "(blank) = unwritten\n")
@@ -48,7 +48,7 @@ def main() -> None:
         draw(db, f"after stage {stage + 1} "
                  f"({(stage + 1) * ENTRIES_PER_STAGE:,} puts)")
 
-    moves, rewritten = db.collect_fragments(max_moves=64)
+    moves, rewritten = db.storage.collect_fragments(max_moves=64)
     draw(db, f"after fragment GC ({moves} sets relocated, "
              f"{rewritten // KiB} KiB rewritten)")
 

@@ -60,7 +60,7 @@ def main() -> None:
         print(f"dynamic bands          : {len(bands)} "
               f"(sizes {min(b.length for b in bands) // 1024} KiB .. "
               f"{max(b.length for b in bands) // 1024} KiB)")
-        print(f"average set size       : {db.average_set_size() / 1024:.1f} KiB")
+        print(f"average set size       : {db.set_registry.average_set_size() / 1024:.1f} KiB")
 
         # point reads still work after all that churn
         assert db.get(b"key%012d" % 0) is not None

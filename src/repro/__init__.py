@@ -4,11 +4,14 @@ SMR drives with dynamic bands.
 Public entry points (everything a caller needs without reaching into
 ``repro.lsm.*`` internals):
 
-* :func:`repro.open` -- construct any registered store kind
-  (``"leveldb"``, ``"smrdb"``, ``"leveldb+sets"``, ``"sealdb"``,
-  ``"zonekv"``); the blessed way to build a store.  ``shards=N``
-  returns a keyspace-partitioned :class:`repro.ShardedStore` over N
-  independent instances.
+* :func:`repro.open` -- construct any store kind (``"leveldb"``,
+  ``"smrdb"``, ``"leveldb+sets"``, ``"sealdb"``, ``"zonekv"``); the
+  blessed way to build a store.  ``shards=N`` returns a
+  keyspace-partitioned :class:`repro.ShardedStore` over N independent
+  instances.
+* :func:`repro.build_store` -- one plain store of a kind, never sharded
+  or tapped; a kind is a row of :data:`repro.registry.STORE_SPECS`
+  (display name, drive + placement builder, ``Options`` overrides).
 * :class:`repro.KVStoreBase` -- the store facade every kind returns
   (context manager; ``store.obs`` is its observability bus;
   ``store.snapshot()`` is a pinned read view).
@@ -21,8 +24,6 @@ Public entry points (everything a caller needs without reaching into
   (``repro serve``), sync/pipelined client, and network load generator
   (imported lazily; ``from repro.net import ServerThread, NetClient``).
 * :mod:`repro.obs` -- typed events, metrics registry, JSON-lines traces.
-* :class:`repro.SealDB` and friends -- the concrete classes, still
-  importable directly.
 * :mod:`repro.workloads` -- micro-benchmarks and YCSB.
 * :mod:`repro.experiments` -- one module per paper table/figure.
 
@@ -39,8 +40,6 @@ Quick start::
         print(db.timeline())
 """
 
-from repro.baselines import LevelDBStore, LevelDBWithSets, SMRDBStore
-from repro.core import SealDB
 from repro.errors import KeyRangeUnavailable, MediaError, ShardUnavailable
 from repro.harness import (
     DEFAULT_PROFILE,
@@ -51,7 +50,7 @@ from repro.kvstore import KVStoreBase
 from repro.lsm import DB, Options
 from repro.lsm.db import Snapshot
 from repro.lsm.wal import WriteBatch
-from repro.registry import default_shards, open_store, register_store, store_kinds
+from repro.registry import build_store, default_shards, open_store, store_kinds
 from repro.obs import Observability
 from repro.shard import HashRouter, RangeRouter, Router, ShardedStore
 
@@ -72,8 +71,6 @@ __all__ = [
     "HashRouter",
     "KVStoreBase",
     "KeyRangeUnavailable",
-    "LevelDBStore",
-    "LevelDBWithSets",
     "MediaError",
     "ShardUnavailable",
     "Observability",
@@ -82,16 +79,14 @@ __all__ = [
     "RangeRouter",
     "Router",
     "SMALL_PROFILE",
-    "SMRDBStore",
     "ScaleProfile",
-    "SealDB",
     "ShardedStore",
     "Snapshot",
     "WriteBatch",
     "__version__",
+    "build_store",
     "default_shards",
     "open",
     "open_store",
-    "register_store",
     "store_kinds",
 ]

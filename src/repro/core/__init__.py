@@ -10,21 +10,22 @@
   together by one compaction, invalidated member-by-member and
   reclaimed when the whole set fades.
 * :mod:`repro.core.storage` -- the direct-on-disk placement policy
-  combining the two (name -> PBA indirection, contiguous set writes).
-* :mod:`repro.core.sealdb` -- the user-facing :class:`SealDB` facade.
+  combining the two (name -> PBA indirection, contiguous set writes),
+  plus the fragment reporting and fragment GC.
+
+The ``"sealdb"`` row of :data:`repro.registry.STORE_SPECS` wires this
+storage over a raw HM-SMR drive: ``repro.open("sealdb")``.
 """
 
 from repro.core.freespace import FreeSpaceList
 from repro.core.dynamic_band import DynamicBandManager
 from repro.core.sets import SetInfo, SetRegistry
 from repro.core.storage import DynamicBandStorage
-from repro.core.sealdb import SealDB
 
 __all__ = [
     "DynamicBandManager",
     "DynamicBandStorage",
     "FreeSpaceList",
-    "SealDB",
     "SetInfo",
     "SetRegistry",
 ]

@@ -12,6 +12,9 @@ accessing SMR drives."  This storage policy is that indirection layer.
   (trim + free-list insert + coalesce) only when the whole set fades,
   implementing the paper's deferred victim reclamation.
 * ``group_invalid_count`` feeds the ``invalid-set-first`` victim policy.
+
+It also carries SEALDB's layout introspection: the Fig. 13 fragments,
+the fragment GC and the band/set gauges.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from repro.core.dynamic_band import DynamicBandManager
 from repro.core.sets import SetRegistry
 from repro.fs.storage import Storage
 from repro.obs.events import SetFade, SetRegister
+from repro.smr.extent import Extent
 from repro.smr.raw_hmsmr import RawHMSMRDrive
 from repro.smr.stats import CATEGORY_TABLE
 
@@ -76,18 +80,38 @@ class DynamicBandStorage(Storage):
         """Invalid members in the on-disk set holding ``name``."""
         return self.sets.invalid_count(name)
 
+    # -- layout introspection ----------------------------------------------
+
+    def register_gauges(self, metrics) -> None:
+        manager = self.manager
+        metrics.gauge("band.occupied_bytes", manager.occupied_bytes)
+        metrics.gauge("band.allocated_bytes", manager.allocated_bytes)
+        metrics.gauge("band.free_bytes", manager.free_bytes)
+        metrics.gauge("band.count", lambda: len(manager.bands()))
+        metrics.gauge("band.fragment_count", lambda: len(self.fragments()))
+        metrics.gauge("band.fragment_bytes",
+                      lambda: sum(f.length for f in self.fragments()))
+        metrics.gauge("sets.avg_bytes", self.sets.average_set_size)
+        metrics.gauge("sets.dead_bytes", self.sets.dead_bytes)
+
+    def fragments(self, max_useful: int | None = None) -> list[Extent]:
+        """Small free regions, per the Fig. 13 definition: no larger
+        than the average set size."""
+        if max_useful is None:
+            max_useful = int(self.sets.average_set_size())
+        return self.manager.fragments(max_useful)
+
     # -- fragment garbage collection (the paper's future work) -----------
 
-    def collect_fragments(self, max_fragment: int,
-                          max_moves: int = 32) -> tuple[int, int]:
+    def collect_fragments(self, max_moves: int = 32) -> tuple[int, int]:
         """Relocate sets that pin small free regions in place.
 
         Section IV-C: "these small fragments are quite difficult to be
         leveraged, thus SEALDB needs alternative garbage collection
         policies as a supplement.  We leave it for our future work."
 
-        The policy implemented here: for each fragment (a free region no
-        larger than ``max_fragment``), relocate the live members of the
+        The policy implemented here: for each fragment (see
+        :meth:`fragments`), relocate the live members of the
         set immediately downstream of it; freeing that set's extent
         coalesces with the fragment (and drops any dead members the set
         was still holding).  Relocation is transparent to the engine --
@@ -99,7 +123,7 @@ class DynamicBandStorage(Storage):
         """
         moves = 0
         rewritten = 0
-        for fragment in self.manager.fragments(max_fragment):
+        for fragment in self.fragments():
             if moves >= max_moves:
                 break
             victim = self.sets.set_starting_at(fragment.end)

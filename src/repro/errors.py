@@ -48,10 +48,6 @@ class ShingleOverwriteError(DriveError):
         self.damaged = damaged
 
 
-class BandAlignmentError(DriveError):
-    """An operation on a fixed-band SMR drive crossed a band boundary."""
-
-
 class MediaError(DriveError):
     """A latent sector error: the drive could not read a byte range.
 
@@ -83,10 +79,6 @@ class FileNotFoundStorageError(StorageError):
 
 class CorruptionError(ReproError):
     """Persistent data failed a checksum or structural validation."""
-
-
-class NotFoundError(ReproError):
-    """A key does not exist in the key-value store (or was deleted)."""
 
 
 class KeyRangeUnavailable(ReproError):

@@ -42,17 +42,3 @@ def random_load(kind: str, db_bytes: int,
                            seed=seed)
     result = bench.fill_random(store)
     return store, result.sim_seconds
-
-
-def sequential_load(kind: str, db_bytes: int,
-                    profile: ScaleProfile = DEFAULT_PROFILE,
-                    seed: int = 0, subscriber=None,
-                    events=None) -> tuple[KVStoreBase, float]:
-    """Sequentially load a fresh store; returns ``(store, sim_seconds)``."""
-    store = open_store(kind, profile=profile)
-    if subscriber is not None:
-        store.obs.subscribe(subscriber, events)
-    bench = MicroBenchmark(kv_for(profile), profile.entries_for_bytes(db_bytes),
-                           seed=seed)
-    result = bench.fill_seq(store)
-    return store, result.sim_seconds

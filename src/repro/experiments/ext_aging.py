@@ -5,19 +5,21 @@ stores age differently: a drifting update/delete working set keeps
 invalidating parts of sets, so fragments and dead-in-set bytes
 accumulate.  This experiment drives SEALDB with the churn trace
 generator and samples the layout every phase -- once without the
-fragment GC and once running :meth:`SealDB.collect_fragments` between
-phases -- quantifying how much the paper's future-work GC matters over
-time.
+fragment GC and once running
+:meth:`~repro.core.storage.DynamicBandStorage.collect_fragments`
+between phases -- quantifying how much the paper's future-work GC
+matters over time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.sealdb import SealDB
 from repro.experiments.common import MiB, kv_for, scaled_bytes
 from repro.harness.profiles import DEFAULT_PROFILE, ScaleProfile
 from repro.harness.report import render_table
+from repro.kvstore import KVStoreBase
+from repro.registry import build_store
 from repro.workloads.trace import ChurnTraceGenerator, replay
 
 DEFAULT_DB_BYTES = 4 * MiB
@@ -49,7 +51,7 @@ class AgingResult:
                 self.with_gc[-1].fragment_share)
 
 
-def _sample(store: SealDB, phase: int) -> AgingSample:
+def _sample(store: KVStoreBase, phase: int) -> AgingSample:
     manager = store.band_manager
     occupied = manager.occupied_bytes()
     fragments = sum(f.length for f in store.fragments())
@@ -73,7 +75,7 @@ def run(db_bytes: int | None = None, phases: int = DEFAULT_PHASES,
 
     result = AgingResult(db_bytes, phases)
     for use_gc in (False, True):
-        store = SealDB(profile)
+        store = build_store("sealdb", profile)
         churn = ChurnTraceGenerator(
             kv, working_set=max(200, entries // 4),
             drift=max(50, entries // 16),
@@ -84,7 +86,8 @@ def run(db_bytes: int | None = None, phases: int = DEFAULT_PHASES,
             replay(store, batch)
             store.flush()
             if use_gc:
-                moves, moved_bytes = store.collect_fragments(max_moves=32)
+                moves, moved_bytes = store.storage.collect_fragments(
+                    max_moves=32)
                 result.gc_moves += moves
                 result.gc_bytes += moved_bytes
             samples = result.with_gc if use_gc else result.without_gc

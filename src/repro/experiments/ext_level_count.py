@@ -13,14 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.storage import DynamicBandStorage
 from repro.experiments.common import MiB, kv_for, scaled_bytes
 from repro.harness.metrics import summarize_compactions
 from repro.harness.profiles import DEFAULT_PROFILE, ScaleProfile
 from repro.harness.report import render_table
-from repro.kvstore import KVStoreBase
-from repro.smr.raw_hmsmr import RawHMSMRDrive
-from repro.smr.timing import SMR_PROFILE
+from repro.registry import build_store
 from repro.workloads.microbench import MicroBenchmark
 
 DEFAULT_DB_BYTES = 8 * MiB
@@ -43,18 +40,6 @@ class LevelCountResult:
     points: list[LevelPoint]
 
 
-def _store_with_levels(profile: ScaleProfile, levels: int) -> KVStoreBase:
-    drive = RawHMSMRDrive(profile.capacity, guard_size=profile.guard_size,
-                          profile=SMR_PROFILE.scaled(profile.io_scale))
-    storage = DynamicBandStorage(drive, wal_size=profile.wal_region,
-                                 meta_size=profile.meta_region,
-                                 class_unit=profile.sstable_size)
-    options = profile.options(use_sets=True, max_levels=levels)
-    store = KVStoreBase(drive, storage, options)
-    store.name = f"L{levels}"
-    return store
-
-
 def run(db_bytes: int | None = None,
         levels: tuple[int, ...] = DEFAULT_LEVELS,
         profile: ScaleProfile = DEFAULT_PROFILE, seed: int = 0
@@ -65,7 +50,7 @@ def run(db_bytes: int | None = None,
     entries = profile.entries_for_bytes(db_bytes)
     points: list[LevelPoint] = []
     for num_levels in levels:
-        store = _store_with_levels(profile, num_levels)
+        store = build_store("sealdb", profile, max_levels=num_levels)
         bench = MicroBenchmark(kv, entries, seed=seed)
         result = bench.fill_random(store)
         summary = summarize_compactions(store.real_compactions())

@@ -53,7 +53,7 @@ class BandSweepResult:
 def run(db_bytes: int | None = None,
         profile: ScaleProfile = DEFAULT_PROFILE, seed: int = 0,
         ratios: tuple[float, ...] = BAND_SSTABLE_RATIOS) -> BandSweepResult:
-    from repro.baselines.leveldb import LevelDBStore
+    from repro.registry import build_store
     from repro.workloads.microbench import MicroBenchmark
     from repro.experiments.common import kv_for
 
@@ -62,7 +62,7 @@ def run(db_bytes: int | None = None,
     points: list[BandPoint] = []
     for ratio in ratios:
         band = int(profile.sstable_size * ratio)
-        store = LevelDBStore(profile, band_size=band)
+        store = build_store("leveldb", profile, band_size=band)
         bench = MicroBenchmark(kv_for(profile),
                                profile.entries_for_bytes(db_bytes), seed=seed)
         bench.fill_random(store)

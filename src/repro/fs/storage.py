@@ -427,6 +427,12 @@ class Storage(ABC):
         del self._files[name]
         return extents
 
+    # -- observability -----------------------------------------------------
+
+    def register_gauges(self, metrics) -> None:
+        """Add this policy's lazy gauges to a store's metrics registry
+        (none by default)."""
+
 
 class FileStream:
     """Incremental writer for one named object.

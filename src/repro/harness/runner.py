@@ -2,17 +2,15 @@
 
 from __future__ import annotations
 
-from typing import Callable
-
 from repro.harness.metrics import WorkloadResult
 from repro.harness.profiles import DEFAULT_PROFILE, ScaleProfile
 from repro.kvstore import KVStoreBase
-from repro.registry import open_store
+from repro.registry import open_store, store_kinds
 from repro.workloads.generators import KeyValueGenerator
 from repro.workloads.microbench import MicroBenchmark
 
-#: the paper's four configurations plus the ZoneKV (ZBC/ZNS) extension
-STORE_KINDS = ("leveldb", "smrdb", "leveldb+sets", "sealdb", "zonekv")
+#: every store kind: the paper's four plus the ZoneKV (ZBC/ZNS) extension
+STORE_KINDS = store_kinds()
 
 
 class ExperimentRunner:
@@ -73,10 +71,3 @@ class ExperimentRunner:
             results["readrandom"][rand_store.name] = WorkloadResult(
                 rand_store.name, r.workload, r.ops, r.sim_seconds)
         return results
-
-    def run_custom(self, kind: str,
-                   phase: Callable[[KVStoreBase], WorkloadResult]
-                   ) -> WorkloadResult:
-        store = self.open(kind)
-        self.stores[store.name] = store
-        return phase(store)

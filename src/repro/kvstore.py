@@ -1,9 +1,10 @@
-"""Common facade for the four evaluated stores.
+"""The one store facade every store kind is built as.
 
 Each store bundles a drive, a placement policy, and an engine
-configuration; :class:`KVStoreBase` wires them together and exposes the
-operations plus the measurements every experiment needs (WA / AWA /
-MWA, compaction traces, simulated time).
+configuration (one row of :data:`repro.registry.STORE_SPECS`);
+:class:`KVStoreBase` wires them together and exposes the operations plus
+the measurements every experiment needs (WA / AWA / MWA, compaction
+traces, simulated time).
 
 Every store also owns one :class:`~repro.obs.Observability` handle at
 ``store.obs`` — the single instrumentation surface (typed events +
@@ -31,9 +32,9 @@ from repro.smr.stats import AmplificationTracker
 class KVStoreBase:
     """A named store: drive + placement + engine."""
 
-    name = "base"
-
-    def __init__(self, drive: Drive, storage: Storage, options: Options) -> None:
+    def __init__(self, drive: Drive, storage: Storage, options: Options,
+                 name: str = "base") -> None:
+        self.name = name
         self.drive = drive
         self.storage = storage
         self.options = options
@@ -48,6 +49,7 @@ class KVStoreBase:
         self._obs = None
         self.obs = Observability(self.name)
         self._register_gauges(self.obs.metrics)
+        self.storage.register_gauges(self.obs.metrics)
         self._wire_obs()
 
     def _wire_obs(self) -> None:
@@ -61,8 +63,8 @@ class KVStoreBase:
         self.obs.bind(*components)
 
     def _register_gauges(self, metrics) -> None:
-        """Lazy gauges evaluated on read; subclasses add layer-specific
-        ones (e.g. SEALDB's fragment and set-registry gauges)."""
+        """Lazy gauges evaluated on read; the placement policy adds its
+        own through ``Storage.register_gauges``."""
         metrics.gauge("amp.wa", self.wa)
         metrics.gauge("amp.awa", self.awa)
         metrics.gauge("amp.mwa", self.mwa)
@@ -243,6 +245,19 @@ class KVStoreBase:
 
     def level_summary(self) -> list[tuple[int, int, int]]:
         return self.db.level_summary()
+
+    # -- dynamic-band layout (stores on DynamicBandStorage) -------------------
+
+    @property
+    def band_manager(self):
+        return self.storage.manager
+
+    @property
+    def set_registry(self):
+        return self.storage.sets
+
+    def fragments(self, max_useful: int | None = None):
+        return self.storage.fragments(max_useful)
 
     def describe(self) -> str:
         return (f"{self.name}: drive={type(self.drive).__name__} "

@@ -71,7 +71,3 @@ class BloomFilter:
         if len(data) < 2:
             raise CorruptionError("bloom filter block too short")
         return cls(data[1:], data[0])
-
-    @property
-    def size_bytes(self) -> int:
-        return len(self._bitmap) + 1

@@ -52,11 +52,6 @@ class Compaction:
         return (len(self.inputs) == 1 and not self.overlaps
                 and self.output_level != self.level)
 
-    def user_range(self) -> tuple[bytes, bytes]:
-        smallest = min(f.smallest.user_key for f in self.inputs)
-        largest = max(f.largest.user_key for f in self.inputs)
-        return smallest, largest
-
 
 class CompactionPicker:
     """Chooses what to compact next, if anything."""

@@ -103,15 +103,6 @@ class Observability:
             for c in self._components:
                 c._obs = None
 
-    @contextlib.contextmanager
-    def subscribed(self, callback: Subscriber,
-                   events: Iterable[str] | None = None):
-        self.subscribe(callback, events)
-        try:
-            yield callback
-        finally:
-            self.unsubscribe(callback)
-
     # -- emission -------------------------------------------------------------
 
     def emit(self, event: Event) -> None:

@@ -97,14 +97,6 @@ class MediaErrorMap:
 
     # -- introspection ---------------------------------------------------
 
-    @property
-    def latent_ranges(self) -> list[tuple[int, int]]:
-        return list(self._latent)
-
-    @property
-    def rot_offsets(self) -> list[int]:
-        return sorted(self._rot)
-
     def __bool__(self) -> bool:
         return bool(self._latent or self._rot)
 

@@ -236,7 +236,6 @@ class ShardedStore(KVStoreBase):
         self.router = router
         self.name = name if name is not None else (
             f"{self.shards[0].name}x{len(self.shards)}")
-        self.profile = getattr(self.shards[0], "profile", None)
         self.options = self.shards[0].options
         self._parallel = parallel
         self._max_workers = max_workers
@@ -249,10 +248,6 @@ class ShardedStore(KVStoreBase):
         self.obs.bind(self)
 
     # -- routing / fan-out helpers -----------------------------------------
-
-    def shard_for(self, key: bytes) -> KVStoreBase:
-        """The shard instance that owns ``key``."""
-        return self.shards[self.router.shard_of(key)]
 
     def _ensure_pool(self) -> ThreadPoolExecutor:
         if self._pool is None:

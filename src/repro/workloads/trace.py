@@ -142,24 +142,26 @@ def replay(store: KVStoreBase, ops: Iterable[TraceOp]) -> ReplayResult:
     return result
 
 
-class TraceRecorder(KVStoreBase):
+class TraceRecorder:
     """Transparent store wrapper that records every operation.
 
-    Construct with an existing store; use like the store; take the
-    recorded ops from :attr:`trace`.
+    Construct with an existing store; use like the store (every
+    attribute but the four recorded operations is the inner store's);
+    take the recorded ops from :attr:`trace`.
     """
 
     def __init__(self, inner: KVStoreBase) -> None:
-        # deliberately NOT calling super().__init__: this is a proxy
         self._inner = inner
         self.trace: list[TraceOp] = []
 
     def __getattr__(self, attr):
         return getattr(self._inner, attr)
 
-    @property
-    def name(self) -> str:  # type: ignore[override]
-        return self._inner.name
+    def __enter__(self) -> "TraceRecorder":
+        return self
+
+    def __exit__(self, *_exc) -> None:
+        self._inner.close()
 
     def put(self, key: bytes, value: bytes) -> None:
         self.trace.append(TraceOp(OP_PUT, bytes(key), bytes(value)))

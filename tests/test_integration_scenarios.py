@@ -31,7 +31,7 @@ class TestChurnGcRecoverVerify:
             replay(store, (next(iter([op]))
                            for op in churn.generate(2000)))
             store.flush()
-            store.collect_fragments(max_moves=24)
+            store.storage.collect_fragments(max_moves=24)
             store.reopen()                    # crash between phases
         report = verify_db(store.db)
         assert report.ok, report.render()
@@ -124,7 +124,7 @@ class TestRepairAfterGcAndChurn:
                                     ops_per_phase=2000, seed=8)
         replay(store, churn.generate(6000))
         store.flush()
-        store.collect_fragments(max_moves=32)
+        store.storage.collect_fragments(max_moves=32)
         expected = dict(store.scan())
 
         store.storage.reset_meta()            # lose the manifest

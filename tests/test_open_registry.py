@@ -5,7 +5,7 @@ import pytest
 import repro
 from repro.errors import ReproError
 from repro.kvstore import KVStoreBase
-from repro.registry import open_store, register_store, store_kinds
+from repro.registry import open_store, store_kinds
 
 from tests.conftest import TEST_PROFILE
 
@@ -28,13 +28,14 @@ class TestOpen:
         assert repro.open is open_store
 
     def test_kind_is_case_insensitive(self):
-        assert type(repro.open("SealDB", profile=TEST_PROFILE)).__name__ == \
-            type(repro.open("sealdb", profile=TEST_PROFILE)).__name__
+        assert repro.open("SealDB", profile=TEST_PROFILE, shards=1).name == \
+            repro.open("sealdb", profile=TEST_PROFILE, shards=1).name == \
+            "SEALDB"
 
     def test_shell_friendly_alias(self):
-        a = repro.open("leveldb_sets", profile=TEST_PROFILE)
-        b = repro.open("leveldb+sets", profile=TEST_PROFILE)
-        assert type(a) is type(b)
+        a = repro.open("leveldb_sets", profile=TEST_PROFILE, shards=1)
+        b = repro.open("leveldb+sets", profile=TEST_PROFILE, shards=1)
+        assert a.name == b.name == "LevelDB+sets"
 
     def test_unknown_kind_raises(self):
         with pytest.raises(ReproError, match="unknown store kind"):
@@ -61,20 +62,16 @@ class TestOpen:
         db.put(b"k2", b"v2")
         assert db.stats.puts == puts_before + 1
 
-    def test_custom_registration(self):
-        @register_store("test-custom-kind")
-        class Custom(KVStoreBase):
-            name = "CUSTOM"
-
-            def __init__(self, profile, **overrides):
-                template = repro.open("leveldb", profile=profile)
-                super().__init__(template.drive, template.storage,
-                                 template.options)
-
-        try:
-            store = repro.open("test-custom-kind", profile=TEST_PROFILE)
-            assert store.name == "CUSTOM"
-            assert "test-custom-kind" in store_kinds()
-        finally:
-            from repro import registry
-            registry._REGISTRY.pop("test-custom-kind", None)
+    @pytest.mark.parametrize("kind, keyword", [
+        ("sealdb", {"band_size": 64 * 1024}),
+        ("sealdb", {"drive_kind": "hdd"}),
+        ("smrdb", {"drive_kind": "hdd"}),
+        ("smrdb", {"zone_size": 64 * 1024}),
+        ("leveldb+sets", {"drive_kind": "hdd"}),
+        ("leveldb", {"zone_size": 64 * 1024}),
+        ("zonekv", {"band_size": 64 * 1024}),
+        ("zonekv", {"drive_kind": "hdd"}),
+    ], ids=lambda value: value if isinstance(value, str) else next(iter(value)))
+    def test_kind_rejects_keyword_it_does_not_take(self, kind, keyword):
+        with pytest.raises(TypeError):
+            repro.open(kind, profile=TEST_PROFILE, **keyword)

@@ -231,7 +231,7 @@ class TestShardedStore:
     def test_open_shards_one_returns_plain_store(self):
         store = repro.open("sealdb", profile=TEST_PROFILE, shards=1)
         assert not isinstance(store, ShardedStore)
-        assert type(store).__name__ == "SealDB"
+        assert store.name == "SEALDB"
 
     def test_rejects_shared_clock(self):
         from repro.smr.timing import SimClock

@@ -19,9 +19,9 @@ from hypothesis.stateful import (
 import hypothesis.strategies as st
 
 from repro.core.dynamic_band import DynamicBandManager
-from repro.core.sealdb import SealDB
 from repro.errors import AllocationError
 from repro.harness.profiles import ScaleProfile
+from repro.registry import build_store
 from repro.smr.raw_hmsmr import RawHMSMRDrive
 
 KiB = 1024
@@ -93,7 +93,7 @@ class KVStateMachine(RuleBasedStateMachine):
 
     def __init__(self):
         super().__init__()
-        self.store = SealDB(_TINY)
+        self.store = build_store("sealdb", _TINY)
         self.model: dict[bytes, bytes] = {}
 
     def _key(self, i: int) -> bytes:

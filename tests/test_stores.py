@@ -1,14 +1,11 @@
-"""Behavioural tests for the four store facades (the paper's Section IV
-configurations), at tiny scale."""
+"""Behavioural tests for the paper's Section IV store configurations,
+at tiny scale."""
 
 import pytest
 
-from repro.baselines.leveldb import LevelDBStore
-from repro.baselines.leveldb_sets import LevelDBWithSets
-from repro.baselines.smrdb import SMRDBStore
-from repro.core.sealdb import SealDB
 from repro.errors import ReproError
 from repro.harness.metrics import contiguous_output_fraction
+from repro.registry import build_store
 from repro.smr.drive import ConventionalDrive
 from repro.smr.fixed_band import FixedBandSMRDrive
 from repro.smr.raw_hmsmr import RawHMSMRDrive
@@ -29,39 +26,39 @@ def _random_load(store, n=N):
 
 class TestConfigurations:
     def test_leveldb_stack(self):
-        store = LevelDBStore(TEST_PROFILE)
+        store = build_store("leveldb", TEST_PROFILE)
         assert isinstance(store.drive, FixedBandSMRDrive)
         assert not store.options.use_sets
         assert store.options.max_levels == 7
 
     def test_leveldb_on_hdd(self):
-        store = LevelDBStore(TEST_PROFILE, drive_kind="hdd")
+        store = build_store("leveldb", TEST_PROFILE, drive_kind="hdd")
         assert isinstance(store.drive, ConventionalDrive)
 
     def test_leveldb_bad_drive_kind(self):
         with pytest.raises(ReproError):
-            LevelDBStore(TEST_PROFILE, drive_kind="ssd")
+            build_store("leveldb", TEST_PROFILE, drive_kind="ssd")
 
     def test_smrdb_stack(self):
-        store = SMRDBStore(TEST_PROFILE)
+        store = build_store("smrdb", TEST_PROFILE)
         assert isinstance(store.drive, FixedBandSMRDrive)
         assert store.options.max_levels == 2
         assert store.options.sstable_size <= TEST_PROFILE.band_size
 
     def test_sealdb_stack(self):
-        store = SealDB(TEST_PROFILE)
+        store = build_store("sealdb", TEST_PROFILE)
         assert isinstance(store.drive, RawHMSMRDrive)
         assert store.options.use_sets
         assert store.drive.guard_size == TEST_PROFILE.guard_size
 
     def test_leveldb_sets_stack(self):
-        store = LevelDBWithSets(TEST_PROFILE)
+        store = build_store("leveldb+sets", TEST_PROFILE)
         assert isinstance(store.drive, FixedBandSMRDrive)
         assert store.options.use_sets
         assert store.storage.contiguous_groups
 
     def test_io_scaling_applied(self):
-        store = SealDB(TEST_PROFILE)
+        store = build_store("sealdb", TEST_PROFILE)
         # TEST_PROFILE sstable is 4 KiB -> io_scale 1024
         assert store.drive.profile.seq_write_bps < 1024 * 1024
 
@@ -70,52 +67,52 @@ class TestPaperInvariants:
     """The structural claims of the paper, verified end-to-end."""
 
     def test_sealdb_awa_is_one(self):
-        store = _random_load(SealDB(TEST_PROFILE))
+        store = _random_load(build_store("sealdb", TEST_PROFILE))
         assert store.awa() == 1.0
 
     def test_smrdb_awa_is_one(self):
-        store = _random_load(SMRDBStore(TEST_PROFILE))
+        store = _random_load(build_store("smrdb", TEST_PROFILE))
         assert store.awa() == 1.0
         assert store.drive.stats.rmw_count == 0
 
     def test_leveldb_awa_above_one(self):
-        store = _random_load(LevelDBStore(TEST_PROFILE))
+        store = _random_load(build_store("leveldb", TEST_PROFILE))
         assert store.awa() > 1.5
         assert store.drive.stats.rmw_count > 0
 
     def test_sets_do_not_change_wa(self):
-        plain = _random_load(LevelDBStore(TEST_PROFILE))
-        sealdb = _random_load(SealDB(TEST_PROFILE))
+        plain = _random_load(build_store("leveldb", TEST_PROFILE))
+        sealdb = _random_load(build_store("sealdb", TEST_PROFILE))
         assert sealdb.wa() == pytest.approx(plain.wa(), rel=0.01)
 
     def test_smrdb_lowers_wa(self):
-        plain = _random_load(LevelDBStore(TEST_PROFILE))
-        smrdb = _random_load(SMRDBStore(TEST_PROFILE))
+        plain = _random_load(build_store("leveldb", TEST_PROFILE))
+        smrdb = _random_load(build_store("smrdb", TEST_PROFILE))
         assert smrdb.wa() < plain.wa()
 
     def test_sealdb_outputs_contiguous_leveldb_not(self):
-        sealdb = _random_load(SealDB(TEST_PROFILE))
-        leveldb = _random_load(LevelDBStore(TEST_PROFILE))
+        sealdb = _random_load(build_store("sealdb", TEST_PROFILE))
+        leveldb = _random_load(build_store("leveldb", TEST_PROFILE))
         assert contiguous_output_fraction(sealdb) == 1.0
         assert contiguous_output_fraction(leveldb) < 0.5
 
     def test_sealdb_average_set_matches_compaction_size(self):
-        store = _random_load(SealDB(TEST_PROFILE))
+        store = _random_load(build_store("sealdb", TEST_PROFILE))
         from repro.harness.metrics import summarize_compactions
         summary = summarize_compactions(store.real_compactions())
         # "the average set size is equivalent to the average compaction
         # data size" (Section IV-B1) -- sets are registered per output
         # group (flushes included), so allow a loose band
-        assert store.average_set_size() > 0
+        assert store.set_registry.average_set_size() > 0
         assert summary.avg_input_bytes > 0
 
     def test_sealdb_mwa_reduction(self):
-        leveldb = _random_load(LevelDBStore(TEST_PROFILE))
-        sealdb = _random_load(SealDB(TEST_PROFILE))
+        leveldb = _random_load(build_store("leveldb", TEST_PROFILE))
+        sealdb = _random_load(build_store("sealdb", TEST_PROFILE))
         assert leveldb.mwa() / sealdb.mwa() > 2.0
 
     def test_reopen_preserves_data(self):
-        store = _random_load(SealDB(TEST_PROFILE), n=4000)
+        store = _random_load(build_store("sealdb", TEST_PROFILE), n=4000)
         kv = KeyValueGenerator(TEST_PROFILE.key_size, TEST_PROFILE.value_size)
         probe = None
         for i in range(4000):
@@ -127,5 +124,5 @@ class TestPaperInvariants:
         assert store.get(kv.scrambled_key(probe)) is not None
 
     def test_describe(self):
-        text = SealDB(TEST_PROFILE).describe()
+        text = build_store("sealdb", TEST_PROFILE).describe()
         assert "SEALDB" in text and "RawHMSMRDrive" in text

@@ -82,11 +82,13 @@ class TestRecorderAndReplay:
         assert result.get_hits == 1
 
     def test_recorder_proxies_store_attrs(self):
-        recorder = TraceRecorder(repro.open("sealdb", profile=TEST_PROFILE))
-        assert recorder.name == "SEALDB"
-        recorder.put(b"x", b"y")
-        recorder.flush()           # proxied
-        assert recorder.wa() >= 0  # proxied metric
+        store = repro.open("sealdb", profile=TEST_PROFILE)
+        with TraceRecorder(store) as recorder:
+            assert recorder.name == "SEALDB"
+            recorder.put(b"x", b"y")
+            recorder.flush()           # proxied
+            assert recorder.wa() >= 0  # proxied metric
+        assert store._closed           # the block closed the inner store
 
 
 class TestChurnGenerator:

@@ -39,7 +39,7 @@ class TestVerifyClean:
 
     def test_clean_after_gc(self):
         store = _loaded("sealdb")
-        store.collect_fragments(max_moves=64)
+        store.storage.collect_fragments(max_moves=64)
         report = verify_db(store.db)
         assert report.ok, report.render()
 

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.baselines.zonekv import ZoneKVStore
 from repro.fs.zonefs import ZoneStorage
+from repro.registry import build_store
 from repro.smr.zoned import ZonedDrive, ZoneViolation
 from repro.workloads.generators import KeyValueGenerator
 
@@ -117,12 +117,12 @@ class TestZoneStorage:
 
 class TestZoneKVStore:
     def test_basic_kv(self):
-        store = ZoneKVStore(TEST_PROFILE)
+        store = build_store("zonekv", TEST_PROFILE)
         store.put(b"0000000000000key", b"v")
         assert store.get(b"0000000000000key") == b"v"
 
     def test_random_load_and_read(self):
-        store = ZoneKVStore(TEST_PROFILE)
+        store = build_store("zonekv", TEST_PROFILE)
         kv = KeyValueGenerator(TEST_PROFILE.key_size, TEST_PROFILE.value_size)
         rng = np.random.default_rng(4)
         n = 10_000
